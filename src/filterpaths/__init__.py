@@ -6,6 +6,8 @@ with an exact dynamic-programming oracle and a differential-verification
 harness that proves them equal over desk-scale parameter sweeps.
 """
 
+__version__ = "0.1.0"
+
 from .formulas import (
     DomainError,
     InvalidN,
@@ -70,5 +72,3 @@ from .verify import (
     run_property_suite,
     run_theorem_suite,
 )
-
-__version__ = "0.1.0"

@@ -14,7 +14,7 @@ import argparse
 import json
 import sys
 
-from . import formulas
+from . import __version__, formulas
 from .formulas import DomainError
 from .model import (
     ArrangementError,
@@ -25,11 +25,13 @@ from .model import (
     parse_arrangement,
 )
 from .oracle import KERNEL_BACKEND, PathQuery, dp_count, enumerate_paths
-from .verify import SweepSpec, run_lemma_suite, run_property_suite, run_theorem_suite
+from .verify import FORMULAS, SweepSpec, run_lemma_suite, run_property_suite, run_theorem_suite
 
 USAGE_ERROR = 2
 
-FORMULA_IDS = ("auto", "desire1", "desire2", "th3", "th4", "mj")
+# `count` evaluates the closed forms whose only parameter is l.
+COUNT_FORMULAS = {f.id: f for f in FORMULAS if f.grid == "l" and not f.index}
+FORMULA_IDS = ("auto", *COUNT_FORMULAS)
 
 
 def _fail(message: str) -> int:
@@ -37,23 +39,11 @@ def _fail(message: str) -> int:
     return USAGE_ERROR
 
 
-def _semantics(name: str) -> WeightRule:
-    return WeightRule(name)
-
-
 def _evaluate_formula(formula: str, l: int, m: int, n: int) -> tuple[int, str]:
     if formula == "auto":
         j = formulas.strip_index(l, m)
-        return formulas.multiplicity(l, m, n), ("desire1" if j == 1 else "mj")
-    if formula == "desire1":
-        return formulas.wall_filter_strip1(l, m, n), formula
-    if formula == "desire2":
-        return formulas.wall_filter_right(l, m, n), formula
-    if formula == "th3":
-        return formulas.two_filters(l, m, n), formula
-    if formula == "th4":
-        return formulas.wall_two_filters(l, m, n), formula
-    return formulas.multiplicity(l, m, n), "mj"
+        return COUNT_FORMULAS["mj"].value(formulas, l=l, m=m, n=n), ("desire1" if j == 1 else "mj")
+    return COUNT_FORMULAS[formula].value(formulas, l=l, m=m, n=n), formula
 
 
 def cmd_count(args: argparse.Namespace) -> int:
@@ -81,7 +71,7 @@ def cmd_count(args: argparse.Namespace) -> int:
 
 def cmd_oracle(args: argparse.Namespace) -> int:
     try:
-        arr = parse_arrangement(args.arr, _semantics(args.semantics))
+        arr = parse_arrangement(args.arr, WeightRule(args.semantics))
         value = dp_count(PathQuery((args.start, 0), args.m, args.n, arr))
     except (ArrangementError, ValueError) as exc:
         return _fail(str(exc))
@@ -99,7 +89,7 @@ def cmd_oracle(args: argparse.Namespace) -> int:
 
 def cmd_paths(args: argparse.Namespace) -> int:
     try:
-        arr = parse_arrangement(args.arr, _semantics(args.semantics))
+        arr = parse_arrangement(args.arr, WeightRule(args.semantics))
         paths = enumerate_paths(PathQuery((args.start, 0), args.m, args.n, arr))
     except (ArrangementError, ValueError) as exc:
         return _fail(str(exc))
@@ -133,6 +123,8 @@ def _parse_l_values(text: str) -> tuple[int, ...]:
 
 def cmd_compare(args: argparse.Namespace) -> int:
     try:
+        if args.cases < 1:
+            raise ValueError(f"--cases must be >= 1, got {args.cases}")
         l_values = _parse_l_values(args.l)
         spec = SweepSpec(
             l_values=l_values,
@@ -141,23 +133,17 @@ def cmd_compare(args: argparse.Namespace) -> int:
             strips_max=args.strips_max,
             a_max=args.a_max,
             b_max=args.b_max,
-            semantics=_semantics(args.semantics),
+            semantics=WeightRule(args.semantics),
         ).check()
     except ValueError as exc:
         return _fail(str(exc))
     suites = ("lemmas", "theorems", "properties") if args.suite == "all" else (args.suite,)
-    report = None
-    for suite in suites:
-        if suite == "lemmas":
-            part = run_lemma_suite(spec)
-        elif suite == "theorems":
-            part = run_theorem_suite(spec)
-        else:
-            part = run_property_suite(args.seed, args.cases)
-        if report is None:
-            report = part
-        else:
-            report.extend(part)
+    runs = {"lemmas": lambda: run_lemma_suite(spec),
+            "theorems": lambda: run_theorem_suite(spec),
+            "properties": lambda: run_property_suite(args.seed, args.cases)}
+    report = runs[suites[0]]()
+    for suite in suites[1:]:
+        report.extend(runs[suite]())
     if args.format == "json":
         text = report.to_json() + "\n"
     elif args.format == "csv":
@@ -233,7 +219,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--version", action="version",
-        version=f"%(prog)s (kernel: {KERNEL_BACKEND})",
+        version=f"%(prog)s {__version__} (kernel: {KERNEL_BACKEND})",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 

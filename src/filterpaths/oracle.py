@@ -2,9 +2,7 @@
 
 Two independent oracles: a row-by-row dynamic program (`dp_count`, exact
 big-integer arithmetic, O(N^2) cell updates) and an exhaustive enumerator
-(`enumerate_paths`) for small depths.  The DP row update runs through the
-compiled kernel when the extension is importable and falls back to the
-pure-Python twin otherwise.
+(`enumerate_paths`) for small depths.
 """
 
 from __future__ import annotations
@@ -13,11 +11,7 @@ from dataclasses import dataclass
 
 from .model import LEFT, RIGHT, Arrangement, Point, step_rules, validate
 
-try:
-    from ._kernel import BACKEND as KERNEL_BACKEND, advance_row
-except ImportError:  # extension not built; exactness is unaffected
-    from ._kernel_py import BACKEND as KERNEL_BACKEND, advance_row
-
+KERNEL_BACKEND = "python"
 ENUM_MAX_ROWS = 24
 
 
@@ -65,6 +59,29 @@ class CountTable:
         i = m - self.lo
         row = self.rows[n]
         return row[i] if 0 <= i < len(row) else 0
+
+
+def advance_row(row: list, wr: bytes, wl: bytes) -> list:
+    """One transfer step: out[i+1] += wr[i]*row[i], out[i-1] += wl[i]*row[i].
+
+    The DP's hot loop.  wr[i] / wl[i] are the rightward / leftward step
+    weights out of cell i (0, 1 or 2; 0 means the step is forbidden).
+    Boundary cells may only scatter inward.  Cells are Python ints, so
+    arithmetic stays exact at any magnitude.
+    """
+    n = len(row)
+    out = [0] * n
+    for i in range(n):
+        v = row[i]
+        if not v:
+            continue
+        w = wr[i]
+        if w and i + 1 < n:
+            out[i + 1] += v if w == 1 else v + v
+        w = wl[i]
+        if w and i > 0:
+            out[i - 1] += v if w == 1 else v + v
+    return out
 
 
 def count_table(start_x: int, n_rows: int, arr: Arrangement) -> CountTable:

@@ -11,6 +11,9 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass, field
+from itertools import groupby
+from operator import attrgetter
+from typing import Callable
 
 from . import formulas
 from .model import (
@@ -39,8 +42,9 @@ class SweepSpec:
             raise ValueError(f"n_max must be >= 0, got {self.n_max}")
         if any(l < 2 for l in self.l_values):
             raise ValueError(f"all l values must be >= 2, got {self.l_values}")
-        if self.d_max < 1:
-            raise ValueError(f"d_max must be >= 1, got {self.d_max}")
+        for name, floor in (("d_max", 1), ("strips_max", 1), ("a_max", 0), ("b_max", 0)):
+            if getattr(self, name) < floor:
+                raise ValueError(f"{name} must be >= {floor}, got {getattr(self, name)}")
         return self
 
 
@@ -120,121 +124,131 @@ def _params(**kwargs: int) -> tuple[tuple[str, int], ...]:
     return tuple(kwargs.items())
 
 
-def _endpoints(n_max: int, m_lo, m_hi):
-    """All (m, n) with n <= n_max, parity-matched, clipped to callables' range."""
+def _rs(*pairs: tuple[Kind, int]) -> tuple[Restriction, ...]:
+    return tuple(Restriction(kind, axis) for kind, axis in pairs)
+
+
+@dataclass(frozen=True)
+class Formula:
+    """One closed form and the grid that checks it against the DP oracle.
+
+    Per grid value g (of `grid`: "d", "l", or "" for none) and start index
+    i (of `index`, if any), the DP runs from column `start(g, i)` under
+    `restrictions(spec, g)` and row n's endpoints span `m_range(spec, g, n)`.
+    `value(f, **params)` evaluates the closed form via the module f.
+    """
+
+    id: str
+    grid: str
+    restrictions: Callable[..., tuple[Restriction, ...]]
+    m_range: Callable[..., tuple[int, int]]
+    value: Callable[..., int]
+    index: str = ""
+    start: Callable[[int, int], int] = lambda g, i: 0
+
+
+W, WR, F1, F2 = Kind.WALL_LEFT, Kind.WALL_RIGHT, Kind.FILTER1, Kind.FILTER2
+_LEFT_OF = lambda s, d, n: (-n, min(d - 1, n))
+_NEG = lambda s, d, n: (max(-d, -n), n)
+_WALL_FILTER = lambda s, l: _rs((W, 0), (F1, l - 1))
+_PAIR = lambda s, l: _rs((F1, l - 1), (F2, 2 * l - 1))
+_STRIP2 = lambda s, l, n: (l - 1, min(2 * l - 2, n))
+
+LEMMAS = (
+    Formula("free", "", lambda s, g: (), lambda s, g, n: (-n, n),
+            lambda f, m, n: f.count_free(m, n)),
+    Formula("wall_left", "d", lambda s, d: _rs((W, 1 - d)), lambda s, d, n: (1 - d, n),
+            lambda f, d, m, n: f.wall_left(1 - d, m, n)),
+    Formula("wall_right", "d", lambda s, d: _rs((WR, d - 1)), lambda s, d, n: (-n, d - 1),
+            lambda f, d, m, n: f.wall_right(d - 1, m, n)),
+    Formula("filter1_left", "d", lambda s, d: _rs((F1, d)), _LEFT_OF,
+            lambda f, d, m, n: f.filter1_left(d, m, n)),
+    Formula("filter1_right", "d", lambda s, d: _rs((F1, d)), lambda s, d, n: (d, n),
+            lambda f, d, m, n: f.filter1_right(d, m, n)),
+    Formula("filter1_neg", "d", lambda s, d: _rs((F1, -d)), _NEG,
+            lambda f, d, m, n: f.filter1_neg(d, m, n)),
+    Formula("filter2_left", "d", lambda s, d: _rs((F2, d)), _LEFT_OF,
+            lambda f, d, m, n: f.filter2_left(d, m, n)),
+    Formula("filter2_right", "d", lambda s, d: _rs((F2, d)), lambda s, d, n: (d + 1, n),
+            lambda f, d, m, n: f.filter2_right(d, m, n)),
+    Formula("filter2_neg", "d", lambda s, d: _rs((F2, -d)), _NEG,
+            lambda f, d, m, n: f.filter2_neg(d, m, n)),
+)
+
+THEOREMS = (
+    Formula("desire1", "l", _WALL_FILTER, lambda s, l, n: (0, min(l - 2, n)),
+            lambda f, l, m, n: f.wall_filter_strip1(l, m, n)),
+    Formula("desire2", "l", _WALL_FILTER, lambda s, l, n: (l - 1, n),
+            lambda f, l, m, n: f.wall_filter_right(l, m, n)),
+    Formula("th3", "l", _PAIR, _STRIP2, lambda f, l, m, n: f.two_filters(l, m, n)),
+    Formula("th32", "l", _PAIR, _STRIP2,
+            lambda f, a, l, m, n: f.two_filters_from_even(a, l, m, n),
+            index="a", start=lambda l, a: -2 * a * l),
+    Formula("th33", "l", _PAIR, _STRIP2,
+            lambda f, b, l, m, n: f.two_filters_from_odd(b, l, m, n),
+            index="b", start=lambda l, b: -2 * b * l - 2),
+    Formula("th4", "l", lambda s, l: _rs((W, 0), (F1, l - 1), (F2, 2 * l - 1)), _STRIP2,
+            lambda f, l, m, n: f.wall_two_filters(l, m, n)),
+    Formula("mj", "l", lambda s, l: canonical_arrangement(l, s.n_max).restrictions,
+            lambda s, l, n: (0, min(s.strips_max * l - 2, n)),
+            lambda f, l, m, n: f.multiplicity(l, m, n)),
+)
+
+FORMULAS = LEMMAS + THEOREMS
+
+
+def _values(spec: SweepSpec, name: str):
+    """The values a sweep parameter takes; the empty name is a single pass."""
+    return {"l": spec.l_values, "d": range(1, spec.d_max + 1),
+            "a": range(spec.a_max + 1), "b": range(spec.b_max + 1)}.get(name, (None,))
+
+
+def _endpoints(n_max: int, m_range):
+    """All (m, n) with n <= n_max, parity-matched, m within m_range(n)."""
     for n in range(0, n_max + 1):
-        lo, hi = m_lo(n), m_hi(n)
+        lo, hi = m_range(n)
         start = lo if (n - lo) % 2 == 0 else lo + 1
         for m in range(start, hi + 1, 2):
             yield m, n
 
 
-def run_lemma_suite(spec: SweepSpec) -> CompareReport:
-    """One-restriction formulas vs the DP oracle over the full grid."""
+def _sweep(spec: SweepSpec, rows: tuple[Formula, ...]) -> CompareReport:
+    """Every row's cells, all rows per grid value, in table order.
+
+    Consecutive rows with the same start and arrangement share one DP
+    table; no other table is kept, so at most one is alive at a time.
+    """
     spec.check()
     report = CompareReport()
-    n_max = spec.n_max
-
-    def add(formula_id, params, formula_value, oracle_value):
-        report.cells.append(Cell(formula_id, params, formula_value, oracle_value))
-
-    free = count_table(0, n_max, Arrangement(semantics=spec.semantics))
-    for m, n in _endpoints(n_max, lambda n: -n, lambda n: n):
-        add("free", _params(m=m, n=n), formulas.count_free(m, n), free.count(m, n))
-
-    for d in range(1, spec.d_max + 1):
-        arrangements = {
-            "wall_left": (Restriction(Kind.WALL_LEFT, 1 - d), lambda n: 1 - d, lambda n: n),
-            "wall_right": (Restriction(Kind.WALL_RIGHT, d - 1), lambda n: -n, lambda n: d - 1),
-            "filter1_left": (Restriction(Kind.FILTER1, d), lambda n: -n, lambda n: min(d - 1, n)),
-            "filter1_right": (Restriction(Kind.FILTER1, d), lambda n: d, lambda n: n),
-            "filter1_neg": (Restriction(Kind.FILTER1, -d), lambda n: max(-d, -n), lambda n: n),
-            "filter2_left": (Restriction(Kind.FILTER2, d), lambda n: -n, lambda n: min(d - 1, n)),
-            "filter2_right": (Restriction(Kind.FILTER2, d), lambda n: d + 1, lambda n: n),
-            "filter2_neg": (Restriction(Kind.FILTER2, -d), lambda n: max(-d, -n), lambda n: n),
-        }
-        evaluators = {
-            "wall_left": lambda m, n: formulas.wall_left(1 - d, m, n),
-            "wall_right": lambda m, n: formulas.wall_right(d - 1, m, n),
-            "filter1_left": lambda m, n: formulas.filter1_left(d, m, n),
-            "filter1_right": lambda m, n: formulas.filter1_right(d, m, n),
-            "filter1_neg": lambda m, n: formulas.filter1_neg(d, m, n),
-            "filter2_left": lambda m, n: formulas.filter2_left(d, m, n),
-            "filter2_right": lambda m, n: formulas.filter2_right(d, m, n),
-            "filter2_neg": lambda m, n: formulas.filter2_neg(d, m, n),
-        }
-        for fid, (restriction, m_lo, m_hi) in arrangements.items():
-            table = count_table(0, n_max, Arrangement((restriction,), spec.semantics))
-            evaluate = evaluators[fid]
-            for m, n in _endpoints(n_max, m_lo, m_hi):
-                add(fid, _params(d=d, m=m, n=n), evaluate(m, n), table.count(m, n))
+    key = table = None
+    for grid, group in groupby(rows, attrgetter("grid")):
+        group = tuple(group)
+        for g in _values(spec, grid):
+            for row in group:
+                arr = Arrangement(row.restrictions(spec, g), spec.semantics)
+                for i in _values(spec, row.index):
+                    start = row.start(g, i)
+                    if key != (start, arr):
+                        table = None  # release the old table before building the next
+                        table = count_table(start, spec.n_max, arr)
+                        key = (start, arr)
+                    fixed = {k: v for k, v in ((row.index, i), (grid, g)) if k}
+                    for m, n in _endpoints(spec.n_max, lambda n: row.m_range(spec, g, n)):
+                        params = dict(fixed, m=m, n=n)
+                        report.cells.append(Cell(row.id, tuple(params.items()),
+                                                 row.value(formulas, **params),
+                                                 table.count(m, n)))
     return report
+
+
+def run_lemma_suite(spec: SweepSpec) -> CompareReport:
+    """One-restriction formulas vs the DP oracle over the full grid."""
+    return _sweep(spec, LEMMAS)
 
 
 def run_theorem_suite(spec: SweepSpec) -> CompareReport:
     """Multi-restriction formulas vs the DP oracle over the sweep grid."""
-    spec.check()
-    report = CompareReport()
-    n_max = spec.n_max
-
-    def add(formula_id, params, formula_value, oracle_value):
-        report.cells.append(Cell(formula_id, params, formula_value, oracle_value))
-
-    for l in spec.l_values:
-        wall_filter = Arrangement(
-            (Restriction(Kind.WALL_LEFT, 0), Restriction(Kind.FILTER1, l - 1)),
-            spec.semantics,
-        )
-        table = count_table(0, n_max, wall_filter)
-        for m, n in _endpoints(n_max, lambda n: 0, lambda n: min(l - 2, n)):
-            add("desire1", _params(l=l, m=m, n=n),
-                formulas.wall_filter_strip1(l, m, n), table.count(m, n))
-        for m, n in _endpoints(n_max, lambda n: l - 1, lambda n: n):
-            add("desire2", _params(l=l, m=m, n=n),
-                formulas.wall_filter_right(l, m, n), table.count(m, n))
-
-        pair = Arrangement(
-            (Restriction(Kind.FILTER1, l - 1), Restriction(Kind.FILTER2, 2 * l - 1)),
-            spec.semantics,
-        )
-        strip = (lambda n: l - 1, lambda n: min(2 * l - 2, n))
-        table = count_table(0, n_max, pair)
-        for m, n in _endpoints(n_max, *strip):
-            add("th3", _params(l=l, m=m, n=n),
-                formulas.two_filters(l, m, n), table.count(m, n))
-        for a in range(0, spec.a_max + 1):
-            table = count_table(-2 * a * l, n_max, pair)
-            for m, n in _endpoints(n_max, *strip):
-                value = formulas.two_filters_from_even(a, l, m, n)
-                add("th32", _params(a=a, l=l, m=m, n=n), value, table.count(m, n))
-        for b in range(0, spec.b_max + 1):
-            table = count_table(-2 * b * l - 2, n_max, pair)
-            for m, n in _endpoints(n_max, *strip):
-                value = formulas.two_filters_from_odd(b, l, m, n)
-                add("th33", _params(b=b, l=l, m=m, n=n), value, table.count(m, n))
-
-        boxed = Arrangement(
-            (
-                Restriction(Kind.WALL_LEFT, 0),
-                Restriction(Kind.FILTER1, l - 1),
-                Restriction(Kind.FILTER2, 2 * l - 1),
-            ),
-            spec.semantics,
-        )
-        table = count_table(0, n_max, boxed)
-        for m, n in _endpoints(n_max, *strip):
-            add("th4", _params(l=l, m=m, n=n),
-                formulas.wall_two_filters(l, m, n), table.count(m, n))
-
-        periodic = canonical_arrangement(l, n_max)
-        if spec.semantics is not periodic.semantics:
-            periodic = Arrangement(periodic.restrictions, spec.semantics)
-        table = count_table(0, n_max, periodic)
-        m_cap = lambda n: min(spec.strips_max * l - 2, n)
-        for m, n in _endpoints(n_max, lambda n: 0, m_cap):
-            add("mj", _params(l=l, m=m, n=n),
-                formulas.multiplicity(l, m, n), table.count(m, n))
-    return report
+    return _sweep(spec, THEOREMS)
 
 
 def _random_arrangement(rng: random.Random) -> Arrangement:

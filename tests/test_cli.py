@@ -8,7 +8,8 @@ from pathlib import Path
 
 import pytest
 
-from filterpaths.cli import main
+from filterpaths import __version__
+from filterpaths.cli import FORMULA_IDS, main
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -62,6 +63,13 @@ class TestCount:
         code = main(["count", "--l", "2", "--m", "3"])
         capsys.readouterr()
         assert code == 2
+
+    def test_formula_choices(self, capsys):
+        assert FORMULA_IDS == ("auto", "desire1", "desire2", "th3", "th4", "mj")
+        code, _, err = run_cli(
+            capsys, "count", "--l", "2", "--m", "1", "--n", "7", "--formula", "th32")
+        assert code == 2
+        assert "invalid choice" in err
 
 
 class TestOracle:
@@ -141,6 +149,22 @@ class TestCompare:
         assert code == 2
         assert "n_max" in err
 
+    @pytest.mark.parametrize("cases", ["0", "-3"])
+    def test_cases_below_one_exits_2_before_any_suite(self, capsys, monkeypatch, cases):
+        monkeypatch.setattr("filterpaths.cli.run_lemma_suite", pytest.fail)
+        code, out, err = run_cli(capsys, "compare", "--suite", "all", "--cases", cases)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: --cases must be >= 1, got {cases}\n"
+
+    def test_family_dropping_spec_exits_2(self, capsys):
+        code, out, err = run_cli(
+            capsys, "compare", "--suite", "theorems", "--n-max", "8",
+            "--a-max", "-1", "--b-max", "-1", "--strips-max", "0")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: strips_max must be >= 1")
+
     def test_report_file(self, capsys, tmp_path):
         out_file = tmp_path / "report.json"
         code, out, _ = run_cli(
@@ -195,6 +219,12 @@ class TestPq:
         assert lines[0] == "family,j,k0,k1,k2,k3"
         assert "P,4,1,4,9,16" in lines
         assert lines[-1] == "recurrences,ok"
+
+
+def test_version_names_release_and_kernel(capsys):
+    code, out, _ = run_cli(capsys, "--version")
+    assert code == 0
+    assert out == f"filterpaths {__version__} (kernel: python)\n"
 
 
 def test_module_invocation_byte_identical():

@@ -1,9 +1,11 @@
 """Sweep harness: clean runs, the literal-mode negative control, reports."""
 
+import hashlib
 import json
 
 import pytest
 
+from filterpaths import verify
 from filterpaths.model import WeightRule
 from filterpaths.verify import (
     SweepSpec,
@@ -133,3 +135,45 @@ class TestSweepSpecValidation:
     def test_d_max_below_one(self):
         with pytest.raises(ValueError):
             SweepSpec(d_max=0).check()
+
+    @pytest.mark.parametrize("field, value", [
+        ("a_max", -1),
+        ("b_max", -1),
+        ("strips_max", 0),
+    ])
+    def test_field_below_floor(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            SweepSpec(**{field: value}).check()
+
+
+class TestFormulaTable:
+    @pytest.mark.parametrize("suite, calls", [
+        (run_lemma_suite, 37),  # filter{1,2}_left/right share a table per d
+        (run_theorem_suite, 44),  # th3 and th32 at a=0 share a table per l
+    ])
+    def test_consecutive_rows_share_one_table(self, monkeypatch, suite, calls):
+        seen = []
+        real = verify.count_table
+
+        def spy(start_x, n_rows, arr):
+            seen.append((start_x, arr))
+            return real(start_x, n_rows, arr)
+
+        monkeypatch.setattr(verify, "count_table", spy)
+        suite(SweepSpec())
+        assert len(seen) == calls
+        assert all(a != b for a, b in zip(seen, seen[1:]))
+
+    @pytest.mark.parametrize("semantics, mismatches, digest", [
+        (WeightRule.LANDING, 0,
+         "a1268ec45a84b7507c5fb3e0ade375647b5a4b2d63f85eea14743dc7cbe54acf"),
+        (WeightRule.LITERAL, 381,
+         "49daf4927a38ecbab3e9c572302d018632d404760936224caeda22890bac5f0b"),
+    ])
+    def test_report_bytes_golden(self, semantics, mismatches, digest):
+        spec = SweepSpec(l_values=(2, 3), n_max=16, d_max=3, a_max=2, b_max=2,
+                         semantics=semantics)
+        report = run_lemma_suite(spec)
+        report.extend(run_theorem_suite(spec))
+        assert (report.total, report.mismatches) == (2768, mismatches)
+        assert hashlib.sha256(report.to_json().encode()).hexdigest() == digest
