@@ -8,7 +8,9 @@ bearing for the alternating sums.
 Conventions shared by all counting functions: walks start at (0, 0)
 (except where a start offset is an explicit argument), end at column m on
 row n, and a count of 0 is returned for parity-impossible endpoints
-rather than an error.
+rather than an error.  A negative row n raises `DomainError` in every
+evaluator.  A type-2 filter counts like a type-1 filter except to its
+right, so `filter2_left` and `filter2_neg` are the type-1 forms.
 """
 
 from __future__ import annotations
@@ -57,15 +59,22 @@ def wall_term(m: int, n: int) -> int:
     return binom(n, h) - binom(n, h - 1)
 
 
+def _one_image(m: int, n: int, shift: int, sign: int = -1) -> int:
+    """Free count plus one signed image: C(n, (n-m)/2) + sign*C(n, (n-m)/2 + shift)."""
+    if n < 0:
+        raise DomainError(f"row must be >= 0, got {n}")
+    if (n - m) % 2:
+        return 0
+    return count_free(m, n) + sign * binom(n, (n - m) // 2 + shift)
+
+
 def wall_left(a: int, m: int, n: int) -> int:
     """Walks with a single rightward one-way column at a <= 0."""
     if a > 0:
         raise DomainError(f"left wall axis must be <= 0, got {a}")
     if m < a:
         raise DomainError(f"endpoint {m} lies left of the wall at {a}")
-    if (n - m) % 2:
-        return 0
-    return count_free(m, n) - binom(n, (n - m) // 2 + a - 1)
+    return _one_image(m, n, a - 1)
 
 
 def wall_right(b: int, m: int, n: int) -> int:
@@ -74,9 +83,7 @@ def wall_right(b: int, m: int, n: int) -> int:
         raise DomainError(f"right wall axis must be >= 0, got {b}")
     if m > b:
         raise DomainError(f"endpoint {m} lies right of the wall at {b}")
-    if (n - m) % 2:
-        return 0
-    return count_free(m, n) - binom(n, (n - m) // 2 + b + 1)
+    return _one_image(m, n, b + 1)
 
 
 def _require_positive_axis(d: int) -> None:
@@ -89,9 +96,7 @@ def filter1_left(d: int, m: int, n: int) -> int:
     _require_positive_axis(d)
     if m >= d:
         raise DomainError(f"endpoint {m} not left of the filter at {d}")
-    if (n - m) % 2:
-        return 0
-    return count_free(m, n) - binom(n, (n - m) // 2 + d)
+    return _one_image(m, n, d)
 
 
 def filter1_right(d: int, m: int, n: int) -> int:
@@ -111,19 +116,12 @@ def filter1_neg(d: int, m: int, n: int) -> int:
     _require_positive_axis(d)
     if m < -d:
         raise DomainError(f"endpoint {m} lies left of the filter at {-d}")
-    if (n - m) % 2:
-        return 0
-    return count_free(m, n) + binom(n, (n - m) // 2 - d)
+    return _one_image(m, n, -d, +1)
 
 
-def filter2_left(d: int, m: int, n: int) -> int:
-    """Type-2 filter at d >= 1, endpoint left of it; same count as type 1."""
-    _require_positive_axis(d)
-    if m >= d:
-        raise DomainError(f"endpoint {m} not left of the filter at {d}")
-    if (n - m) % 2:
-        return 0
-    return count_free(m, n) - binom(n, (n - m) // 2 + d)
+# A type-2 filter counts like a type-1 filter except to its right.
+filter2_left = filter1_left
+filter2_neg = filter1_neg
 
 
 def filter2_right(d: int, m: int, n: int) -> int:
@@ -132,16 +130,6 @@ def filter2_right(d: int, m: int, n: int) -> int:
     if m <= d:
         raise DomainError(f"endpoint {m} not strictly right of the filter at {d}")
     return 2 * count_free(m, n)
-
-
-def filter2_neg(d: int, m: int, n: int) -> int:
-    """Type-2 filter at -d, d >= 1; walk starts and ends right of it."""
-    _require_positive_axis(d)
-    if m < -d:
-        raise DomainError(f"endpoint {m} lies left of the filter at {-d}")
-    if (n - m) % 2:
-        return 0
-    return count_free(m, n) + binom(n, (n - m) // 2 - d)
 
 
 def _check_l(l: int) -> None:
@@ -183,57 +171,51 @@ def wall_filter_right(l: int, m: int, n: int) -> int:
     return _right_series(l, m, n)
 
 
-def _check_strip2(l: int, m: int) -> None:
+def _check_strip2(l: int, m: int, n: int) -> None:
     _check_l(l)
     if not l - 1 <= m < 2 * l - 1:
         raise DomainError(f"endpoint {m} outside [{l - 1}, {2 * l - 1}) for l={l}")
+    if n < 0:
+        raise DomainError(f"row must be >= 0, got {n}")
+
+
+def _two_filter_series(i: int, s: int, l: int, m: int, n: int) -> int:
+    """Filters at l-1 (type 1) and 2l-1 (type 2), start (-2*i*l - s, 0), s in {0, 2}.
+
+    With s = 2 the start sits two columns left of the even-start family, so
+    its reflected images land two columns further right (column m + 2kl + 2).
+    """
+    _check_strip2(l, m, n)
+    total = 0
+    for k in range(i, (n - l + 1 - s) // (2 * l) + 1):
+        total += (-1) ** (k - i) * count_free(m + 2 * k * l + s, n)
+    for k in range(i, (n - s) // (2 * l)):
+        total -= (-1) ** (k - i) * count_free(m - 2 * (k + 2) * l + 2 - s, n)
+    return total
 
 
 def two_filters(l: int, m: int, n: int) -> int:
     """Filters at l-1 (type 1) and 2l-1 (type 2), no wall; endpoint between."""
-    _check_strip2(l, m)
-    total = 0
-    for k in range(0, (n - l + 1) // (2 * l) + 1):
-        total += (-1) ** k * count_free(m + 2 * k * l, n)
-    for k in range(2, n // (2 * l) + 2):
-        total += (-1) ** (k - 1) * count_free(m - 2 * k * l + 2, n)
-    return total
+    return _two_filter_series(0, 0, l, m, n)
 
 
 def two_filters_from_even(a: int, l: int, m: int, n: int) -> int:
     """Same two filters, walk starting from (-2*a*l, 0) with a >= 0."""
     if a < 0:
         raise DomainError(f"start index must be >= 0, got {a}")
-    _check_strip2(l, m)
-    total = 0
-    for k in range(a, (n - l + 1) // (2 * l) + 1):
-        total += (-1) ** (k - a) * count_free(m + 2 * k * l, n)
-    for k in range(a, n // (2 * l)):
-        total += (-1) ** (k - a + 1) * count_free(m - 2 * (k + 2) * l + 2, n)
-    return total
+    return _two_filter_series(a, 0, l, m, n)
 
 
 def two_filters_from_odd(b: int, l: int, m: int, n: int) -> int:
-    """Same two filters, walk starting from (-2*b*l - 2, 0) with b >= 0.
-
-    First-sum terms are shifted to column m + 2kl + 2: the start point
-    sits two columns left of the even-start family, so its reflected
-    images land two columns further right.
-    """
+    """Same two filters, walk starting from (-2*b*l - 2, 0) with b >= 0."""
     if b < 0:
         raise DomainError(f"start index must be >= 0, got {b}")
-    _check_strip2(l, m)
-    total = 0
-    for k in range(b, (n - l - 1) // (2 * l) + 1):
-        total += (-1) ** (k - b) * count_free(m + 2 * k * l + 2, n)
-    for k in range(b, (n - 2) // (2 * l)):
-        total += (-1) ** (k - b + 1) * count_free(m - 2 * (k + 2) * l, n)
-    return total
+    return _two_filter_series(b, 2, l, m, n)
 
 
 def wall_two_filters(l: int, m: int, n: int) -> int:
     """Wall at 0 plus filters at l-1 and 2l-1; endpoint between the filters."""
-    _check_strip2(l, m)
+    _check_strip2(l, m, n)
     total = 0
     for k in range(0, (n - l + 1) // (4 * l) + 1):
         total += wall_term(m + 4 * k * l, n)
@@ -249,26 +231,25 @@ def _check_jk(j: int, k: int) -> None:
         raise DomainError(f"term index must be >= 0, got {k}")
 
 
-def poly_p(j: int, k: int) -> int:
-    """Plus-family coefficient of the periodic-arrangement count."""
+def _poly(j: int, k: int, odd: int) -> int:
+    """Sum over i of C(j-2, 2i + odd) * C(k - i + j - 2, j - 2)."""
     _check_jk(j, k)
     total = 0
     for i in range(0, j // 2 + 1):
-        c = binom(j - 2, 2 * i)
+        c = binom(j - 2, 2 * i + odd)
         if c:
             total += c * binom(k - i + j - 2, j - 2)
     return total
+
+
+def poly_p(j: int, k: int) -> int:
+    """Plus-family coefficient of the periodic-arrangement count."""
+    return _poly(j, k, 0)
 
 
 def poly_q(j: int, k: int) -> int:
     """Minus-family coefficient of the periodic-arrangement count."""
-    _check_jk(j, k)
-    total = 0
-    for i in range(0, j // 2 + 1):
-        c = binom(j - 2, 2 * i + 1)
-        if c:
-            total += c * binom(k - i + j - 2, j - 2)
-    return total
+    return _poly(j, k, 1)
 
 
 def pq_recurrence_check(j_max: int, k_max: int):

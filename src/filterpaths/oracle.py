@@ -13,6 +13,7 @@ from .model import LEFT, RIGHT, Arrangement, Point, step_rules, validate
 
 KERNEL_BACKEND = "python"
 ENUM_MAX_ROWS = 24
+DP_MAX_ROWS = 3000  # the DP keeps every row: about 650 MiB at this depth
 
 
 class InvalidQuery(ValueError):
@@ -20,7 +21,7 @@ class InvalidQuery(ValueError):
 
 
 class TooLarge(ValueError):
-    """Exhaustive enumeration refused; depth above ENUM_MAX_ROWS."""
+    """Query refused: enumeration above ENUM_MAX_ROWS or a DP above DP_MAX_ROWS rows."""
 
 
 @dataclass(frozen=True)
@@ -88,6 +89,8 @@ def count_table(start_x: int, n_rows: int, arr: Arrangement) -> CountTable:
     """Run the DP for every endpoint up to row n_rows at once."""
     if n_rows < 0:
         raise InvalidQuery(f"row count must be >= 0, got {n_rows}")
+    if n_rows > DP_MAX_ROWS:
+        raise TooLarge(f"DP limited to {DP_MAX_ROWS} rows, got {n_rows}")
     validate(arr)
     lo = start_x - n_rows
     width = 2 * n_rows + 1

@@ -24,7 +24,7 @@ from .model import (
     canonical_arrangement,
     validate,
 )
-from .oracle import PathQuery, count_table, dp_count, iter_paths
+from .oracle import DP_MAX_ROWS, PathQuery, count_table, dp_count, iter_paths
 
 
 @dataclass(frozen=True)
@@ -40,8 +40,12 @@ class SweepSpec:
     def check(self) -> "SweepSpec":
         if self.n_max < 0:
             raise ValueError(f"n_max must be >= 0, got {self.n_max}")
+        if self.n_max > DP_MAX_ROWS:
+            raise ValueError(f"n_max must be <= {DP_MAX_ROWS} (DP row limit), got {self.n_max}")
         if any(l < 2 for l in self.l_values):
             raise ValueError(f"all l values must be >= 2, got {self.l_values}")
+        if len(set(self.l_values)) < len(self.l_values):
+            raise ValueError(f"l_values must be distinct, got {self.l_values}")
         for name, floor in (("d_max", 1), ("strips_max", 1), ("a_max", 0), ("b_max", 0)):
             if getattr(self, name) < floor:
                 raise ValueError(f"{name} must be >= {floor}, got {getattr(self, name)}")

@@ -64,6 +64,14 @@ class TestCount:
         capsys.readouterr()
         assert code == 2
 
+    @pytest.mark.parametrize("formula", ["th3", "th4"])
+    def test_negative_row_exits_2(self, capsys, formula):
+        code, out, err = run_cli(
+            capsys, "count", "--l", "2", "--m", "1", "--n", "-1", "--formula", formula)
+        assert code == 2
+        assert out == ""
+        assert err == "error: row must be >= 0, got -1\n"
+
     def test_formula_choices(self, capsys):
         assert FORMULA_IDS == ("auto", "desire1", "desire2", "th3", "th4", "mj")
         code, _, err = run_cli(
@@ -104,6 +112,13 @@ class TestOracle:
             "--m", "1", "--n", "5")
         assert code == 0
         assert out.strip() == "5"
+
+
+    def test_dp_row_limit_exits_2(self, capsys):
+        code, out, err = run_cli(capsys, "oracle", "--arr", "W@0", "--m", "1", "--n", "3001")
+        assert code == 2
+        assert out == ""
+        assert "3000" in err
 
 
 class TestPaths:
@@ -156,6 +171,18 @@ class TestCompare:
         assert code == 2
         assert out == ""
         assert err == f"error: --cases must be >= 1, got {cases}\n"
+
+    @pytest.mark.parametrize("argv, message", [
+        (("--l", "2,2"), "l_values must be distinct"),
+        (("--n-max", "3001"), "n_max must be <= 3000"),
+    ])
+    def test_oversized_or_repeated_spec_exits_2_before_any_suite(
+            self, capsys, monkeypatch, argv, message):
+        monkeypatch.setattr("filterpaths.cli.run_lemma_suite", pytest.fail)
+        code, out, err = run_cli(capsys, "compare", *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: {message}")
 
     def test_family_dropping_spec_exits_2(self, capsys):
         code, out, err = run_cli(

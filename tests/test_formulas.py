@@ -188,6 +188,34 @@ class TestTwoFilterFormulas:
             wall_two_filters(2, 0, 4)
 
 
+# One in-domain call per formula id, with the row left free.
+EVALUATORS = {
+    "free": lambda n: count_free(0, n),
+    "wall_left": lambda n: wall_left(0, 1, n),
+    "wall_right": lambda n: wall_right(0, 0, n),
+    "filter1_left": lambda n: filter1_left(1, 0, n),
+    "filter1_right": lambda n: filter1_right(1, 1, n),
+    "filter1_neg": lambda n: filter1_neg(1, 0, n),
+    "filter2_left": lambda n: filter2_left(1, 0, n),
+    "filter2_right": lambda n: filter2_right(1, 2, n),
+    "filter2_neg": lambda n: filter2_neg(1, 0, n),
+    "desire1": lambda n: wall_filter_strip1(3, 1, n),
+    "desire2": lambda n: wall_filter_right(2, 1, n),
+    "th3": lambda n: two_filters(2, 1, n),
+    "th32": lambda n: two_filters_from_even(1, 2, 1, n),
+    "th33": lambda n: two_filters_from_odd(1, 2, 1, n),
+    "th4": lambda n: wall_two_filters(2, 1, n),
+    "mj": lambda n: multiplicity(2, 1, n),
+}
+
+
+@pytest.mark.parametrize("formula_id", EVALUATORS)
+@pytest.mark.parametrize("n", [-1, -2])
+def test_negative_row_raises(formula_id, n):
+    with pytest.raises(DomainError):
+        EVALUATORS[formula_id](n)
+
+
 class TestPolyFamilies:
     def test_base_family_constant(self):
         assert all(poly_p(2, k) == 1 for k in range(31))

@@ -14,6 +14,7 @@ from filterpaths.model import (
 )
 from filterpaths.formulas import wall_term
 from filterpaths.oracle import (
+    DP_MAX_ROWS,
     ENUM_MAX_ROWS,
     InvalidQuery,
     PathQuery,
@@ -166,3 +167,7 @@ class TestCountTable:
     def test_negative_row_count_rejected(self):
         with pytest.raises(InvalidQuery):
             count_table(0, -1, Arrangement())
+
+    def test_row_limit_refused_before_allocating(self):
+        with pytest.raises(TooLarge):
+            count_table(0, DP_MAX_ROWS + 1, Arrangement())

@@ -7,6 +7,7 @@ import pytest
 
 from filterpaths import verify
 from filterpaths.model import WeightRule
+from filterpaths.oracle import DP_MAX_ROWS
 from filterpaths.verify import (
     SweepSpec,
     run_lemma_suite,
@@ -142,6 +143,14 @@ class TestSweepSpecValidation:
         ("strips_max", 0),
     ])
     def test_field_below_floor(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            SweepSpec(**{field: value}).check()
+
+    @pytest.mark.parametrize("field, value", [
+        ("l_values", (2, 2)),  # a repeated l would sweep its cells twice
+        ("n_max", DP_MAX_ROWS + 1),
+    ])
+    def test_field_rejected(self, field, value):
         with pytest.raises(ValueError, match=field):
             SweepSpec(**{field: value}).check()
 
