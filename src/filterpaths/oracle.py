@@ -1,19 +1,22 @@
 """Ground-truth weighted path counting.
 
-Two independent oracles: a row-by-row dynamic program (`dp_count`, exact
-big-integer arithmetic, O(N^2) cell updates) and an exhaustive enumerator
-(`enumerate_paths`) for small depths.
+Two independent oracles: a row-by-row dynamic program in exact big-integer
+arithmetic and an exhaustive enumerator (`enumerate_paths`) for small
+depths.  Both DP drivers step parity-split rows (see `advance_row`):
+`dp_count` streams one row clipped to the light cone, O(N^2) time and O(N)
+memory; only `count_table`, for sweeps, keeps every row.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 
 from .model import LEFT, RIGHT, Arrangement, Point, step_rules, validate
 
 KERNEL_BACKEND = "python"
 ENUM_MAX_ROWS = 24
-DP_MAX_ROWS = 3000  # the DP keeps every row: about 650 MiB at this depth
+DP_MAX_ROWS = 3000  # count_table keeps every row: ~560 MiB here on W@0;F1@1;F2@3
 
 
 class InvalidQuery(ValueError):
@@ -46,76 +49,96 @@ class WeightedPath:
 class CountTable:
     """All weighted counts from one start point, rows 0..n_rows.
 
-    rows[y][m - lo] is the weighted number of paths from start to (m, y);
-    columns outside [lo, lo + width) are unreachable and count 0.
+    Row y holds only the y + 1 columns of its parity that a walk can reach:
+    rows[y][k] counts the paths from start to (start - y + 2k, y), and every
+    other column counts 0.  `count` is the only documented reader.
     """
 
-    def __init__(self, lo: int, rows: list[list[int]]):
-        self.lo = lo
+    def __init__(self, start: int, rows: list[list[int]]):
+        self.start = start
         self.rows = rows
 
     def count(self, m: int, n: int) -> int:
         if not 0 <= n < len(self.rows):
             raise InvalidQuery(f"row {n} outside computed range")
-        i = m - self.lo
+        k, odd = divmod(m - self.start + n, 2)
         row = self.rows[n]
-        return row[i] if 0 <= i < len(row) else 0
+        return row[k] if not odd and 0 <= k < len(row) else 0
 
 
-def advance_row(row: list, wr: bytes, wl: bytes) -> list:
-    """One transfer step: out[i+1] += wr[i]*row[i], out[i-1] += wl[i]*row[i].
+def advance_row(row: list, lo: int, cols: list, fixes: list) -> list:
+    """One transfer step on a parity-split row; the DP's hot loop.
 
-    The DP's hot loop.  wr[i] / wl[i] are the rightward / leftward step
-    weights out of cell i (0, 1 or 2; 0 means the step is forbidden).
-    Boundary cells may only scatter inward.  Cells are Python ints, so
-    arithmetic stays exact at any magnitude.
+    row[k] counts column lo + 2k; the result counts column lo - 1 + 2j and
+    is one cell longer.  A whole-row sum gives every step weight 1; then
+    each restricted column x = cols[i] (sorted, of the row's parity) in the
+    window adds its cell times fixes[i] = (x, right weight - 1, left weight
+    - 1) to its neighbours: a forbidden step takes the cell back off, a
+    weight-2 step adds it once more.  Cells are exact Python ints.
     """
-    n = len(row)
-    out = [0] * n
-    for i in range(n):
-        v = row[i]
-        if not v:
-            continue
-        w = wr[i]
-        if w and i + 1 < n:
-            out[i + 1] += v if w == 1 else v + v
-        w = wl[i]
-        if w and i > 0:
-            out[i - 1] += v if w == 1 else v + v
+    out = [a + b for a, b in zip([0] + row, row + [0])]
+    for i in range(bisect_left(cols, lo), bisect_left(cols, lo + 2 * len(row))):
+        x, dr, dl = fixes[i]
+        k = (x - lo) >> 1
+        v = row[k]
+        if v:
+            out[k + 1] += dr * v
+            out[k] += dl * v
     return out
 
 
-def count_table(start_x: int, n_rows: int, arr: Arrangement) -> CountTable:
-    """Run the DP for every endpoint up to row n_rows at once."""
-    if n_rows < 0:
-        raise InvalidQuery(f"row count must be >= 0, got {n_rows}")
+def _fixes_by_parity(n_rows: int, arr: Arrangement) -> tuple:
+    """Refuse a DP above DP_MAX_ROWS, validate, and build advance_row's
+    (cols, fixes) for the even columns and for the odd ones."""
     if n_rows > DP_MAX_ROWS:
         raise TooLarge(f"DP limited to {DP_MAX_ROWS} rows, got {n_rows}")
     validate(arr)
-    lo = start_x - n_rows
-    width = 2 * n_rows + 1
     rules = step_rules(arr)
-    wr = bytes(rules.get((lo + i, RIGHT), 1) for i in range(width))
-    wl = bytes(rules.get((lo + i, LEFT), 1) for i in range(width))
-    row = [0] * width
-    row[start_x - lo] = 1
-    rows = [row]
-    for _ in range(n_rows):
-        row = advance_row(row, wr, wl)
-        rows.append(row)
-    return CountTable(lo, rows)
+    by_parity = ([], []), ([], [])
+    for x in sorted({x for x, _ in rules}):
+        dr, dl = rules.get((x, RIGHT), 1) - 1, rules.get((x, LEFT), 1) - 1
+        if dr or dl:
+            cols, fixes = by_parity[x & 1]
+            cols.append(x)
+            fixes.append((x, dr, dl))
+    return by_parity
+
+
+def count_table(start_x: int, n_rows: int, arr: Arrangement) -> CountTable:
+    """Run the DP for every endpoint up to row n_rows at once, keeping every row."""
+    if n_rows < 0:
+        raise InvalidQuery(f"row count must be >= 0, got {n_rows}")
+    by_parity = _fixes_by_parity(n_rows, arr)
+    rows = [[1]]
+    for lo in range(start_x, start_x - n_rows, -1):
+        rows.append(advance_row(rows[-1], lo, *by_parity[lo & 1]))
+    return CountTable(start_x, rows)
 
 
 def dp_count(q: PathQuery) -> int:
     """Exact weighted number of allowed paths start -> (end_m, end_n).
 
-    Unreachable or parity-impossible endpoints count 0.
+    Unreachable or parity-impossible endpoints count 0.  Streams: keeps one
+    row, clipped to the backward cone |end_m - x| <= end_n - y, so time is
+    O(n^2) and memory O(n) ints.
     """
     if q.end_n < 0:
         raise InvalidQuery(f"end row must be >= 0, got {q.end_n}")
     if q.start[1] != 0:
         raise InvalidQuery(f"start must sit on row 0, got {q.start}")
-    return count_table(q.start[0], q.end_n, q.arrangement).count(q.end_m, q.end_n)
+    by_parity = _fixes_by_parity(q.end_n, q.arrangement)
+    m, n, lo = q.end_m, q.end_n, q.start[0]
+    if abs(m - lo) > n or (m - lo + n) % 2:
+        return 0
+    row = [1]
+    for y in range(n):
+        row = advance_row(row, lo, *by_parity[lo & 1])
+        lo -= 1
+        reach = n - y - 1
+        cut = max(0, (m - reach - lo) // 2)
+        row = row[cut:(m + reach - lo) // 2 + 1]
+        lo += 2 * cut
+    return row[0]
 
 
 def iter_paths(q: PathQuery):

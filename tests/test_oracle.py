@@ -1,5 +1,7 @@
 """DP oracle vs exhaustive enumeration, plus oracle edge contracts."""
 
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -11,6 +13,7 @@ from filterpaths.model import (
     WeightRule,
     allowed_steps,
     canonical_arrangement,
+    parse_arrangement,
 )
 from filterpaths.formulas import wall_term
 from filterpaths.oracle import (
@@ -60,6 +63,22 @@ class TestDpCount:
     def test_start_off_row_zero_rejected(self):
         with pytest.raises(InvalidQuery):
             dp_count(PathQuery((0, 2), 2, 4))
+
+    def test_row_limit_checked_before_the_cone(self):
+        with pytest.raises(TooLarge):
+            dp_count(PathQuery((0, 0), 10**6, DP_MAX_ROWS + 1))
+        with pytest.raises(InvalidQuery):
+            dp_count(PathQuery((0, 1), 10**6, DP_MAX_ROWS + 1))
+
+    def test_streaming_keeps_memory_linear(self):
+        q = PathQuery((0, 0), 2, 2000, parse_arrangement("W@0;F1@1;F2@3"))
+        tracemalloc.start()
+        try:
+            assert dp_count(q) > 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
 
     def test_wall_reflection_identity(self):
         wall = Arrangement((Restriction(Kind.WALL_LEFT, 0),))
@@ -141,15 +160,15 @@ class TestOracleProperties:
     def test_row_recurrence_matches_step_scatter(self):
         arr = canonical_arrangement(3, 12)
         table = count_table(0, 12, arr)
+        columns = range(-12, 13)
         for n in range(0, 12):
             scattered = {}
-            for i, v in enumerate(table.rows[n]):
+            for x in columns:
+                v = table.count(x, n)
                 if v:
-                    for step, (nx, _) in allowed_steps(arr, (table.lo + i, n)):
+                    for step, (nx, _) in allowed_steps(arr, (x, n)):
                         scattered[nx] = scattered.get(nx, 0) + step.weight * v
-            recomputed = {
-                table.lo + i: v for i, v in enumerate(table.rows[n + 1]) if v
-            }
+            recomputed = {x: v for x in columns if (v := table.count(x, n + 1))}
             assert scattered == recomputed
 
 
