@@ -11,11 +11,22 @@ row n, and a count of 0 is returned for parity-impossible endpoints
 rather than an error.  A negative row n raises `DomainError` in every
 evaluator.  A type-2 filter counts like a type-1 filter except to its
 right, so `filter2_left` and `filter2_neg` are the type-1 forms.
+
+`wall_term`, the series forms and `multiplicity` read `_row(n)`, the
+Pascal row C(n, 0..n), cached for the last n only (a sweep walks m inside
+n) and shared by every caller: never mutate it.  A series over every
+2l-th or 4l-th column is one strided slice of it (`_free_sum`).  Rows
+above `FORMULA_MAX_ROW` raise `DomainError` before one is built; `binom`,
+`count_free` and the one-image forms build no row and have no limit.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+
+# Largest row `_row` builds: at 50,000 it takes 116 MiB and 0.5 s (its size grows as n^2).
+FORMULA_MAX_ROW = 50_000
 
 
 class InvalidN(ValueError):
@@ -35,13 +46,44 @@ def binom(n: int, k: int) -> int:
     return math.comb(n, k)
 
 
+def _require(value: int, floor: int, what: str) -> None:
+    if value < floor:
+        raise DomainError(f"{what} must be >= {floor}, got {value}")
+
+
 def count_free(m: int, n: int) -> int:
     """Unrestricted walks from (0,0) to (m, n)."""
-    if n < 0:
-        raise DomainError(f"row must be >= 0, got {n}")
+    _require(n, 0, "row")
     if (n - m) % 2:
         return 0
     return binom(n, (n - m) // 2)
+
+
+@functools.lru_cache(maxsize=1)
+def _row(n: int) -> tuple[int, ...]:
+    """C(n, 0..n), shared by every caller on row n; never mutate it."""
+    _require(n, 0, "row")
+    if n > FORMULA_MAX_ROW:
+        raise DomainError(f"row must be <= FORMULA_MAX_ROW = {FORMULA_MAX_ROW}, got {n}")
+    half = [1]
+    for k in range(n // 2):
+        half.append(half[-1] * (n - k) // (k + 1))
+    return tuple(half + half[::-1][1 - n % 2:])
+
+
+def _free_sum(m: int, n: int, d: int, k0: int, k1: int, sign: int = 1) -> int:
+    """Sum of sign**(k - k0) * count_free(m + k*d, n) over k0 <= k <= k1, d even, d != 0."""
+    row = _row(n)
+    if d < 0:  # count_free is even in m
+        m, d = -m, -d
+    h0, e = (n - m) // 2, d // 2
+    # term k is row[h0 - k*e]; those inside the row, lo <= k <= hi, are one strided slice
+    lo, hi = max(k0, -((n - h0) // e)), min(k1, h0 // e)
+    if (n - m) % 2 or lo > hi:
+        return 0
+    start, stop = h0 - hi * e, h0 - lo * e + 1  # row[start] is term hi
+    total = sum(row[start:stop:2 * e]) + sign * sum(row[start + e:stop:2 * e])
+    return sign ** (hi - k0) * total
 
 
 def wall_term(m: int, n: int) -> int:
@@ -51,21 +93,15 @@ def wall_term(m: int, n: int) -> int:
     other m it is evaluated literally (possibly negative) because the
     multi-restriction reflection sums rely on the signed values.
     """
-    if n < 0:
-        raise DomainError(f"row must be >= 0, got {n}")
+    row, h = _row(n), (n - m) // 2
     if (n - m) % 2:
         return 0
-    h = (n - m) // 2
-    return binom(n, h) - binom(n, h - 1)
+    return (row[h] if 0 <= h <= n else 0) - (row[h - 1] if 1 <= h <= n + 1 else 0)
 
 
 def _one_image(m: int, n: int, shift: int, sign: int = -1) -> int:
     """Free count plus one signed image: C(n, (n-m)/2) + sign*C(n, (n-m)/2 + shift)."""
-    if n < 0:
-        raise DomainError(f"row must be >= 0, got {n}")
-    if (n - m) % 2:
-        return 0
-    return count_free(m, n) + sign * binom(n, (n - m) // 2 + shift)
+    return count_free(m, n) + sign * count_free(m - 2 * shift, n)
 
 
 def wall_left(a: int, m: int, n: int) -> int:
@@ -86,14 +122,9 @@ def wall_right(b: int, m: int, n: int) -> int:
     return _one_image(m, n, b + 1)
 
 
-def _require_positive_axis(d: int) -> None:
-    if d < 1:
-        raise DomainError(f"filter axis parameter must be >= 1, got {d}")
-
-
 def filter1_left(d: int, m: int, n: int) -> int:
     """Type-1 filter at d >= 1, endpoint left of it (m < d)."""
-    _require_positive_axis(d)
+    _require(d, 1, "filter axis parameter")
     if m >= d:
         raise DomainError(f"endpoint {m} not left of the filter at {d}")
     return _one_image(m, n, d)
@@ -101,7 +132,7 @@ def filter1_left(d: int, m: int, n: int) -> int:
 
 def filter1_right(d: int, m: int, n: int) -> int:
     """Type-1 filter at d >= 1, endpoint right of or on it (m >= d)."""
-    _require_positive_axis(d)
+    _require(d, 1, "filter axis parameter")
     if m < d:
         raise DomainError(f"endpoint {m} not right of the filter at {d}")
     return count_free(m, n)
@@ -113,7 +144,7 @@ def filter1_neg(d: int, m: int, n: int) -> int:
     The extra term counts unrestricted walks from (-2d, 0), hence the
     minus-d shift inside the binomial.
     """
-    _require_positive_axis(d)
+    _require(d, 1, "filter axis parameter")
     if m < -d:
         raise DomainError(f"endpoint {m} lies left of the filter at {-d}")
     return _one_image(m, n, -d, +1)
@@ -126,38 +157,27 @@ filter2_neg = filter1_neg
 
 def filter2_right(d: int, m: int, n: int) -> int:
     """Type-2 filter at d >= 1, endpoint strictly right of it (m > d)."""
-    _require_positive_axis(d)
+    _require(d, 1, "filter axis parameter")
     if m <= d:
         raise DomainError(f"endpoint {m} not strictly right of the filter at {d}")
     return 2 * count_free(m, n)
 
 
-def _check_l(l: int) -> None:
-    if l < 2:
-        raise DomainError(f"period parameter must be >= 2, got {l}")
-
-
 def _strip1_series(l: int, m: int, n: int) -> int:
     """The strip-1 reflection series, evaluated formally at any (m, n)."""
-    total = wall_term(m, n)
-    for k in range(1, (n + l) // (2 * l) + 1):
-        total += wall_term(m - 2 * k * l, n)
-    for k in range(1, n // (2 * l) + 1):
-        total += wall_term(m + 2 * k * l, n)
-    return total
+    k0, k1 = -((n + l) // (2 * l)), n // (2 * l)
+    return _free_sum(m, n, 2 * l, k0, k1) - _free_sum(m + 2, n, 2 * l, k0, k1)
 
 
 def _right_series(l: int, m: int, n: int) -> int:
     """The right-of-filter reflection series, evaluated formally."""
-    total = wall_term(m, n)
-    for k in range(1, (n - l + 1) // (2 * l) + 1):
-        total += wall_term(m + 2 * k * l, n)
-    return total
+    k1 = max(0, (n - l + 1) // (2 * l))
+    return _free_sum(m, n, 2 * l, 0, k1) - _free_sum(m + 2, n, 2 * l, 0, k1)
 
 
 def wall_filter_strip1(l: int, m: int, n: int) -> int:
     """Wall at 0 plus type-1 filter at l-1; endpoint in strip 1 (m <= l-2)."""
-    _check_l(l)
+    _require(l, 2, "period parameter")
     if not 0 <= m <= l - 2:
         raise DomainError(f"endpoint {m} outside strip 1 for l={l}")
     return _strip1_series(l, m, n)
@@ -165,18 +185,16 @@ def wall_filter_strip1(l: int, m: int, n: int) -> int:
 
 def wall_filter_right(l: int, m: int, n: int) -> int:
     """Wall at 0 plus type-1 filter at l-1; endpoint right of it (m > l-2)."""
-    _check_l(l)
+    _require(l, 2, "period parameter")
     if m <= l - 2:
         raise DomainError(f"endpoint {m} not right of the filter at {l - 1}")
     return _right_series(l, m, n)
 
 
-def _check_strip2(l: int, m: int, n: int) -> None:
-    _check_l(l)
+def _check_strip2(l: int, m: int) -> None:
+    _require(l, 2, "period parameter")
     if not l - 1 <= m < 2 * l - 1:
         raise DomainError(f"endpoint {m} outside [{l - 1}, {2 * l - 1}) for l={l}")
-    if n < 0:
-        raise DomainError(f"row must be >= 0, got {n}")
 
 
 def _two_filter_series(i: int, s: int, l: int, m: int, n: int) -> int:
@@ -185,13 +203,9 @@ def _two_filter_series(i: int, s: int, l: int, m: int, n: int) -> int:
     With s = 2 the start sits two columns left of the even-start family, so
     its reflected images land two columns further right (column m + 2kl + 2).
     """
-    _check_strip2(l, m, n)
-    total = 0
-    for k in range(i, (n - l + 1 - s) // (2 * l) + 1):
-        total += (-1) ** (k - i) * count_free(m + 2 * k * l + s, n)
-    for k in range(i, (n - s) // (2 * l)):
-        total -= (-1) ** (k - i) * count_free(m - 2 * (k + 2) * l + 2 - s, n)
-    return total
+    _check_strip2(l, m)
+    return (_free_sum(m + s, n, 2 * l, i, (n - l + 1 - s) // (2 * l), -1)
+            - _free_sum(m - 4 * l + 2 - s, n, -2 * l, i, (n - s) // (2 * l) - 1, -1))
 
 
 def two_filters(l: int, m: int, n: int) -> int:
@@ -201,39 +215,29 @@ def two_filters(l: int, m: int, n: int) -> int:
 
 def two_filters_from_even(a: int, l: int, m: int, n: int) -> int:
     """Same two filters, walk starting from (-2*a*l, 0) with a >= 0."""
-    if a < 0:
-        raise DomainError(f"start index must be >= 0, got {a}")
+    _require(a, 0, "start index")
     return _two_filter_series(a, 0, l, m, n)
 
 
 def two_filters_from_odd(b: int, l: int, m: int, n: int) -> int:
     """Same two filters, walk starting from (-2*b*l - 2, 0) with b >= 0."""
-    if b < 0:
-        raise DomainError(f"start index must be >= 0, got {b}")
+    _require(b, 0, "start index")
     return _two_filter_series(b, 2, l, m, n)
 
 
 def wall_two_filters(l: int, m: int, n: int) -> int:
     """Wall at 0 plus filters at l-1 and 2l-1; endpoint between the filters."""
-    _check_strip2(l, m, n)
-    total = 0
-    for k in range(0, (n - l + 1) // (4 * l) + 1):
-        total += wall_term(m + 4 * k * l, n)
-    for k in range(0, (n - 2 * l) // (4 * l) + 1):
-        total += wall_term(m - 4 * k * l - 4 * l, n)
-    return total
+    _check_strip2(l, m)
+    # images m + 4kl and m - 4(k+1)l for k >= 0: one run of k
+    k0, k1 = -((n - 2 * l) // (4 * l) + 1), (n - l + 1) // (4 * l)
+    return _free_sum(m, n, 4 * l, k0, k1) - _free_sum(m + 2, n, 4 * l, k0, k1)
 
 
-def _check_jk(j: int, k: int) -> None:
-    if j < 2:
-        raise DomainError(f"strip index must be >= 2, got {j}")
-    if k < 0:
-        raise DomainError(f"term index must be >= 0, got {k}")
-
-
+@functools.lru_cache(maxsize=4096, typed=True)
 def _poly(j: int, k: int, odd: int) -> int:
     """Sum over i of C(j-2, 2i + odd) * C(k - i + j - 2, j - 2)."""
-    _check_jk(j, k)
+    _require(j, 2, "strip index")
+    _require(k, 0, "term index")
     total = 0
     for i in range(0, j // 2 + 1):
         c = binom(j - 2, 2 * i + odd)
@@ -260,8 +264,7 @@ def pq_recurrence_check(j_max: int, k_max: int):
     2 <= j < j_max, 0 <= k <= k_max.  Returns None when everything holds,
     otherwise the first counterexample as (family, j, k, closed, recurrence).
     """
-    if j_max < 3:
-        raise DomainError(f"j_max must be >= 3, got {j_max}")
+    _require(j_max, 3, "j_max")
     for j in range(2, j_max):
         sp, sq = 0, 0
         for k in range(0, k_max + 1):
@@ -278,9 +281,8 @@ def pq_recurrence_check(j_max: int, k_max: int):
 
 def strip_index(l: int, m: int) -> int:
     """Index of the strip [(j-1)l - 1, jl - 1) containing column m >= 0."""
-    _check_l(l)
-    if m < 0:
-        raise DomainError(f"column must be >= 0, got {m}")
+    _require(l, 2, "period parameter")
+    _require(m, 0, "column")
     return (m + 1) // l + 1
 
 
@@ -300,12 +302,9 @@ def multiplicity(l: int, m: int, n: int) -> int:
     if j == 1:
         return wall_filter_strip1(l, m, n)
     total = 0
-    for k in range(0, (n - (j - 1) * l + 1) // (4 * l) + 1):
-        total += poly_p(j, k) * wall_term(m + 4 * k * l, n)
-    for k in range(0, (n - j * l) // (4 * l) + 1):
-        total += poly_p(j, k) * wall_term(m - 4 * k * l - 2 * j * l, n)
-    for k in range(0, (n - (j + 1) * l + 1) // (4 * l) + 1):
-        total -= poly_q(j, k) * wall_term(m + 2 * l + 4 * k * l, n)
-    for k in range(0, (n - (j + 2) * l) // (4 * l) + 1):
-        total -= poly_q(j, k) * wall_term(m - 4 * k * l - 2 * (j + 1) * l, n)
+    for s, sign, poly in ((0, 1, poly_p), (1, -1, poly_q)):  # each: images right, then left
+        for k in range(0, (n - (j - 1 + 2 * s) * l + 1) // (4 * l) + 1):
+            total += sign * poly(j, k) * wall_term(m + 2 * s * l + 4 * k * l, n)
+        for k in range(0, (n - (j + 2 * s) * l) // (4 * l) + 1):
+            total += sign * poly(j, k) * wall_term(m - 4 * k * l - 2 * (j + s) * l, n)
     return 2 ** (j - 2) * total

@@ -8,6 +8,7 @@ counts survive any consumer.
 
 from __future__ import annotations
 
+import functools
 import json
 import random
 from dataclasses import dataclass, field
@@ -98,7 +99,25 @@ class CompareReport:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.as_dict(), indent=2)
+        """The text of `json.dumps(self.as_dict(), indent=2)`, one f-string per cell.
+
+        Strings (ids, parameter names) go through `json.dumps`, each distinct
+        one once, so their escaping is the encoder's; the rest are ints.
+        """
+        q = functools.cache(json.dumps)
+
+        def cell(c: Cell) -> str:
+            params = ",\n".join(f"        {q(k)}: {v}" for k, v in dict(c.parameters).items())
+            params = f"{{\n{params}\n      }}" if params else "{}"
+            return (f'    {{\n      "formula_id": {q(c.formula_id)},\n'
+                    f'      "parameters": {params},\n'
+                    f'      "formula_value": "{c.formula_value}",\n'
+                    f'      "oracle_value": "{c.oracle_value}",\n'
+                    f'      "match": {"true" if c.match else "false"}\n    }}')
+
+        cells = "[\n" + ",\n".join(map(cell, self.cells)) + "\n  ]" if self.cells else "[]"
+        return (f'{{\n  "cells": {cells},\n  "summary": {{\n    "total": {self.total},\n'
+                f'    "mismatches": {self.mismatches}\n  }}\n}}')
 
     def to_csv(self) -> str:
         lines = ["formula_id,parameters,formula_value,oracle_value,match"]

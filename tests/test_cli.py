@@ -10,6 +10,7 @@ import pytest
 
 from filterpaths import __version__
 from filterpaths.cli import FORMULA_IDS, main
+from filterpaths.formulas import FORMULA_MAX_ROW
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -71,6 +72,14 @@ class TestCount:
         assert code == 2
         assert out == ""
         assert err == "error: row must be >= 0, got -1\n"
+
+    def test_row_above_formula_limit_exits_2(self, capsys):
+        n = 50002
+        assert n > FORMULA_MAX_ROW
+        code, out, err = run_cli(
+            capsys, "count", "--l", "2", "--m", "2", "--n", str(n), "--formula", "desire2")
+        assert (code, out) == (2, "")
+        assert err == f"error: row must be <= FORMULA_MAX_ROW = {FORMULA_MAX_ROW}, got {n}\n"
 
     def test_formula_choices(self, capsys):
         assert FORMULA_IDS == ("auto", "desire1", "desire2", "th3", "th4", "mj")

@@ -6,7 +6,11 @@ at the end guard the same equalities continuously (the full grids run in
 the acceptance suite).
 """
 
+import importlib.util
+import inspect
 import math
+import tracemalloc
+import types
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -216,6 +220,36 @@ def test_negative_row_raises(formula_id, n):
         EVALUATORS[formula_id](n)
 
 
+# The evaluators that read the cached Pascal row; m = 1 takes an odd row.
+ROW_READERS = {**{i: EVALUATORS[i] for i in ("desire1", "desire2", "th3", "th32", "th33",
+                                             "th4", "mj")},
+               "wall_term": lambda n: wall_term(1, n)}
+
+
+@pytest.mark.parametrize("name", ROW_READERS)
+def test_rows_above_the_limit_are_refused_before_building(name):
+    tracemalloc.start()
+    try:
+        with pytest.raises(DomainError, match="FORMULA_MAX_ROW"):
+            ROW_READERS[name](formulas.FORMULA_MAX_ROW + 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
+def test_large_row_memory_stays_small():
+    formulas._row.cache_clear()
+    tracemalloc.start()
+    try:
+        value = wall_filter_right(2, 2, 10000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert value > 0
+    assert peak < 16 * 2**20
+
+
 class TestPolyFamilies:
     def test_base_family_constant(self):
         assert all(poly_p(2, k) == 1 for k in range(31))
@@ -315,3 +349,216 @@ class TestFormulaOracleSpotChecks:
             for n in range(0, 19):
                 for m in range(n % 2, n + 1, 2):
                     assert multiplicity(l, m, n) == table.count(m, n), (l, m, n)
+
+
+# -- slow-path reference ------------------------------------------------------
+#
+# The series evaluated term by term, one `binom` call per term, with an
+# uncached `_poly`: no Pascal row.  `_reference_module()` loads a second copy
+# of formulas.py and swaps these bodies in (their globals rebound to the copy),
+# so every public function of the copy keeps the shared domain checks and
+# differs from `formulas` only in how the series are evaluated.
+
+
+def _ref_wall_term(m, n):
+    if n < 0:
+        raise DomainError(f"row must be >= 0, got {n}")
+    if (n - m) % 2:
+        return 0
+    h = (n - m) // 2
+    return binom(n, h) - binom(n, h - 1)
+
+
+def _ref__one_image(m, n, shift, sign=-1):
+    if n < 0:
+        raise DomainError(f"row must be >= 0, got {n}")
+    if (n - m) % 2:
+        return 0
+    return count_free(m, n) + sign * binom(n, (n - m) // 2 + shift)
+
+
+def _ref__strip1_series(l, m, n):
+    total = wall_term(m, n)
+    for k in range(1, (n + l) // (2 * l) + 1):
+        total += wall_term(m - 2 * k * l, n)
+    for k in range(1, n // (2 * l) + 1):
+        total += wall_term(m + 2 * k * l, n)
+    return total
+
+
+def _ref__right_series(l, m, n):
+    total = wall_term(m, n)
+    for k in range(1, (n - l + 1) // (2 * l) + 1):
+        total += wall_term(m + 2 * k * l, n)
+    return total
+
+
+def _ref__two_filter_series(i, s, l, m, n):
+    _check_strip2(l, m)  # noqa: F821 - resolved in the reference module
+    if n < 0:
+        raise DomainError(f"row must be >= 0, got {n}")
+    total = 0
+    for k in range(i, (n - l + 1 - s) // (2 * l) + 1):
+        total += (-1) ** (k - i) * count_free(m + 2 * k * l + s, n)
+    for k in range(i, (n - s) // (2 * l)):
+        total -= (-1) ** (k - i) * count_free(m - 2 * (k + 2) * l + 2 - s, n)
+    return total
+
+
+def _ref_wall_two_filters(l, m, n):
+    _check_strip2(l, m)  # noqa: F821
+    if n < 0:
+        raise DomainError(f"row must be >= 0, got {n}")
+    total = 0
+    for k in range(0, (n - l + 1) // (4 * l) + 1):
+        total += wall_term(m + 4 * k * l, n)
+    for k in range(0, (n - 2 * l) // (4 * l) + 1):
+        total += wall_term(m - 4 * k * l - 4 * l, n)
+    return total
+
+
+def _ref__poly(j, k, odd):
+    if j < 2:
+        raise DomainError(f"strip index must be >= 2, got {j}")
+    if k < 0:
+        raise DomainError(f"term index must be >= 0, got {k}")
+    total = 0
+    for i in range(0, j // 2 + 1):
+        c = binom(j - 2, 2 * i + odd)
+        if c:
+            total += c * binom(k - i + j - 2, j - 2)
+    return total
+
+
+def _ref_multiplicity(l, m, n):
+    j = strip_index(l, m)
+    if (m + n) % 2:
+        raise DomainError(f"(m + n) must be even, got m={m}, n={n}")
+    if m > n:
+        raise DomainError(f"column {m} unreachable by row {n}")
+    if j == 1:
+        return wall_filter_strip1(l, m, n)
+    total = 0
+    for k in range(0, (n - (j - 1) * l + 1) // (4 * l) + 1):
+        total += poly_p(j, k) * wall_term(m + 4 * k * l, n)
+    for k in range(0, (n - j * l) // (4 * l) + 1):
+        total += poly_p(j, k) * wall_term(m - 4 * k * l - 2 * j * l, n)
+    for k in range(0, (n - (j + 1) * l + 1) // (4 * l) + 1):
+        total -= poly_q(j, k) * wall_term(m + 2 * l + 4 * k * l, n)
+    for k in range(0, (n - (j + 2) * l) // (4 * l) + 1):
+        total -= poly_q(j, k) * wall_term(m - 4 * k * l - 2 * (j + 1) * l, n)
+    return 2 ** (j - 2) * total
+
+
+def _reference_module():
+    spec = importlib.util.spec_from_file_location("_formulas_reference", formulas.__file__)
+    ref = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(ref)
+    ref.DomainError, ref.InvalidN = DomainError, InvalidN
+    for fn in (_ref_wall_term, _ref__one_image, _ref__strip1_series, _ref__right_series,
+               _ref__two_filter_series, _ref_wall_two_filters, _ref__poly, _ref_multiplicity):
+        name = fn.__name__.removeprefix("_ref_")
+        setattr(ref, name, types.FunctionType(fn.__code__, vars(ref), name, fn.__defaults__))
+    return ref
+
+
+REFERENCE = _reference_module()
+
+# Every public function with the number of small parameters it takes before
+# (m, n); binom takes (n, m), strip_index (l, m) and the p/q forms (j, n).
+PUBLIC = {
+    "binom": 0, "count_free": 0, "wall_term": 0, "wall_left": 1, "wall_right": 1,
+    "filter1_left": 1, "filter1_right": 1, "filter1_neg": 1, "filter2_left": 1,
+    "filter2_right": 1, "filter2_neg": 1, "wall_filter_strip1": 1, "wall_filter_right": 1,
+    "two_filters": 1, "two_filters_from_even": 2, "two_filters_from_odd": 2,
+    "wall_two_filters": 1, "poly_p": 1, "poly_q": 1, "pq_recurrence_check": 1,
+    "strip_index": 1, "multiplicity": 1,
+}
+PQ = ("poly_p", "poly_q", "pq_recurrence_check")
+SMALL = range(-1, 7)
+
+
+def test_reference_covers_every_public_function():
+    public = {name for name, obj in vars(formulas).items()
+              if inspect.isfunction(obj) and not name.startswith("_")}
+    assert public == set(PUBLIC)
+
+
+def _outcome(fn, args):
+    try:
+        return fn(*args)
+    except Exception as exc:  # the type and the message must agree too
+        return type(exc), str(exc)
+
+
+def _differences(name, calls):
+    out = []
+    for args in calls:
+        new = _outcome(getattr(formulas, name), args)
+        old = _outcome(getattr(REFERENCE, name), args)
+        if new != old or type(new) is not type(old):
+            out.append((args, new, old))
+    return out
+
+
+def _args(name, small, m, n):
+    """One call of a public function from its small parameters, m and n."""
+    if name == "binom":
+        return (n, m)
+    if name == "strip_index":
+        return (small[0], m)
+    if name in PQ:
+        return (small[0], n)
+    return (*small[:PUBLIC[name]], m, n)
+
+
+def _grid(name, n):
+    """Each small parameter in SMALL (start indices in -1..2 and 5), m over ±(n + 6)."""
+    if name in PQ:
+        return [(j, n) for j in SMALL] if name != "pq_recurrence_check" or n <= 12 else []
+    heads = {0: [()], 1: [(p,) for p in SMALL],
+             2: [(i, p) for i in (-1, 0, 1, 2, 5) for p in SMALL]}[PUBLIC[name]]
+    return [_args(name, head, m, n) for head in heads for m in range(-n - 6, n + 7)]
+
+
+@pytest.mark.parametrize("name", PUBLIC)
+def test_matches_slow_path_on_grid(name):
+    calls = [args for n in [*range(-2, 61), 97, 150, 203] for args in _grid(name, n)]
+    assert _differences(name, calls) == []
+
+
+@given(st.sampled_from(sorted(PUBLIC)), st.tuples(st.integers(-1, 8), st.integers(-1, 8)),
+       st.integers(-410, 410), st.integers(-2, 400))
+@settings(max_examples=300, deadline=None)
+def test_matches_slow_path_on_random_rows(name, small, m, n):
+    if name == "pq_recurrence_check":
+        n %= 40  # k_max: the check walks every (j, k) below it
+    assert _differences(name, [_args(name, small, m, n)]) == []
+
+
+@pytest.mark.parametrize("name, small, m", [
+    ("wall_term", (), -7), ("wall_term", (), 1000), ("wall_filter_strip1", (5,), 2),
+    ("wall_filter_right", (2,), 2), ("wall_filter_right", (3,), 500),
+    ("two_filters", (3,), 3), ("two_filters_from_even", (2, 4), 4),
+    ("two_filters_from_odd", (1, 3), 4), ("wall_two_filters", (2,), 1),
+    ("multiplicity", (2,), 6), ("multiplicity", (3,), 9),
+])
+def test_matches_slow_path_at_large_rows(name, small, m):
+    assert _differences(name, [_args(name, small, m, n) for n in (2000, 2001)]) == []
+
+
+@given(st.integers(-30, 30), st.integers(0, 40), st.integers(-6, 6).filter(bool),
+       st.integers(-25, 25), st.integers(-25, 25), st.sampled_from((1, -1)))
+@settings(max_examples=300)
+def test_free_sum_is_the_termwise_sum(m, n, half_d, k0, k1, sign):
+    d = 2 * half_d
+    expected = sum(sign ** (k - k0) * count_free(m + k * d, n) for k in range(k0, k1 + 1))
+    assert formulas._free_sum(m, n, d, k0, k1, sign) == expected
+
+
+def test_row_cache_keeps_one_row():
+    wall_filter_right(2, 2, 2000)
+    assert wall_term(1, 3) == 2
+    info = formulas._row.cache_info()
+    assert (info.maxsize, info.currsize) == (1, 1)
+    assert formulas._row(3) == (1, 3, 3, 1)

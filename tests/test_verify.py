@@ -111,6 +111,20 @@ class TestReports:
         flagged = [c for c in doc["cells"] if not c["match"]]
         assert len(flagged) == report.mismatches
 
+    @pytest.mark.parametrize("report", [
+        verify.CompareReport(),
+        run_lemma_suite(SweepSpec(l_values=(2,), n_max=8, d_max=2,
+                                  semantics=WeightRule.LITERAL)),
+        verify.CompareReport([
+            verify.Cell('say "\u00e9t\u00e9"\\\n', (("m", -3), ("\u00e9", 7)), 10**40, -2),
+            verify.Cell("free", (), 0, 0),
+        ]),
+    ], ids=["empty", "literal-mismatches", "escapes-and-no-parameters"])
+    def test_to_json_is_the_indented_encoding(self, report):
+        text = report.to_json()
+        assert text == json.dumps(report.as_dict(), indent=2)
+        assert ('"match": false' in text) == (report.mismatches > 0)
+
     def test_csv_shape(self):
         report = run_lemma_suite(SweepSpec(l_values=(2,), n_max=4, d_max=1))
         lines = report.to_csv().strip().split("\n")
