@@ -61,6 +61,7 @@ from .oracle import (
     WeightedPath,
     count_table,
     dp_count,
+    enum_weight,
     enumerate_paths,
     iter_paths,
 )

@@ -1,10 +1,14 @@
 """Ground-truth weighted path counting.
 
 Two independent oracles: a row-by-row dynamic program in exact big-integer
-arithmetic and an exhaustive enumerator (`enumerate_paths`) for small
-depths.  Both DP drivers step parity-split rows (see `advance_row`):
-`dp_count` streams one row clipped to the light cone, O(N^2) time and O(N)
-memory; only `count_table`, for sweeps, keeps every row.
+arithmetic and exhaustive enumeration for small depths.  Both DP drivers
+step parity-split rows (see `advance_row`): `dp_count` streams one row
+clipped to the light cone, O(N^2) time and O(N) memory; only `count_table`,
+for sweeps, keeps every row.  Enumeration comes in two forms: `iter_paths`
+/ `enumerate_paths` yield every allowed path with its points and weight,
+and `enum_weight` walks the same paths depth-first without building them
+and returns only their total weight.  It memoizes nothing and never touches
+the DP, so it stays an independent check of it.
 """
 
 from __future__ import annotations
@@ -24,7 +28,8 @@ class InvalidQuery(ValueError):
 
 
 class TooLarge(ValueError):
-    """Query refused: enumeration above ENUM_MAX_ROWS or a DP above DP_MAX_ROWS rows."""
+    """Query refused before any work: enumeration (`enumerate_paths`,
+    `enum_weight`) above ENUM_MAX_ROWS rows or a DP above DP_MAX_ROWS rows."""
 
 
 @dataclass(frozen=True)
@@ -166,6 +171,46 @@ def iter_paths(q: PathQuery):
                 prefix.pop()
 
     yield from rec(q.start[0], 0, 1)
+
+
+def enum_weight(q: PathQuery) -> int:
+    """Total weight of the allowed paths, walked one by one; guarded like
+    `enumerate_paths`.
+
+    Plain depth-first recursion over the same paths as `iter_paths`, with
+    no memo: a step is taken only if it stays in the backward cone
+    |end_m - x| <= rows left, and the last step's weight is read directly.
+    Off-parity or out-of-cone endpoints give 0.  Bad queries raise as in
+    `iter_paths` (InvalidQuery, then the arrangement's error), with
+    TooLarge checked before the arrangement.
+    """
+    if q.end_n < 0:
+        raise InvalidQuery(f"end row must be >= 0, got {q.end_n}")
+    if q.start[1] != 0:
+        raise InvalidQuery(f"start must sit on row 0, got {q.start}")
+    if q.end_n > ENUM_MAX_ROWS:
+        raise TooLarge(f"enumeration limited to {ENUM_MAX_ROWS} rows, got {q.end_n}")
+    validate(q.arrangement)
+    rules = step_rules(q.arrangement)
+    m, n, x0 = q.end_m, q.end_n, q.start[0]
+    if abs(m - x0) > n or (m - x0 + n) % 2:
+        return 0
+    if n == 0:
+        return 1
+
+    def rec(x: int, left: int) -> int:
+        if left == 1:
+            return rules.get((x, m - x), 1)
+        left -= 1
+        total = 0
+        for dx in (RIGHT, LEFT):
+            if abs(m - x - dx) <= left:
+                w = rules.get((x, dx), 1)
+                if w:
+                    total += w * rec(x + dx, left)
+        return total
+
+    return rec(x0, n)
 
 
 def enumerate_paths(q: PathQuery) -> list[WeightedPath]:

@@ -25,7 +25,7 @@ from .model import (
     canonical_arrangement,
     validate,
 )
-from .oracle import DP_MAX_ROWS, PathQuery, count_table, dp_count, iter_paths
+from .oracle import DP_MAX_ROWS, ENUM_MAX_ROWS, PathQuery, count_table, dp_count, enum_weight
 
 
 @dataclass(frozen=True)
@@ -291,11 +291,14 @@ def _random_arrangement(rng: random.Random) -> Arrangement:
 def run_property_suite(seed: int, cases: int, n_max: int = 20) -> CompareReport:
     """Randomized oracle properties, reproducible from the seed.
 
-    Per case: DP vs exhaustive enumeration, translation invariance of the
-    DP under a random shift, and nonnegativity.
+    Per case: DP vs exhaustive enumeration (`enum_weight`), translation
+    invariance of the DP under a random shift, and nonnegativity.  Rows go
+    up to n_max, which enumeration caps at ENUM_MAX_ROWS.
     """
     if cases < 1:
         raise ValueError(f"cases must be >= 1, got {cases}")
+    if not 0 <= n_max <= ENUM_MAX_ROWS:
+        raise ValueError(f"n_max must be in 0..{ENUM_MAX_ROWS} (enumeration limit), got {n_max}")
     rng = random.Random(seed)
     report = CompareReport()
     for i in range(cases):
@@ -306,7 +309,7 @@ def run_property_suite(seed: int, cases: int, n_max: int = 20) -> CompareReport:
         q = PathQuery((start, 0), m, n, arr)
         dp = dp_count(q)
 
-        enum_total = sum(p.weight for p in iter_paths(q))
+        enum_total = enum_weight(q)
         report.cells.append(
             Cell("dp_vs_enum", _params(case=i, start=start, m=m, n=n), dp, enum_total)
         )

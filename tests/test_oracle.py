@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from conftest import arrangements
 from filterpaths.model import (
     Arrangement,
+    ArrangementError,
     Kind,
     Restriction,
     WeightRule,
@@ -24,6 +25,7 @@ from filterpaths.oracle import (
     TooLarge,
     count_table,
     dp_count,
+    enum_weight,
     enumerate_paths,
     iter_paths,
 )
@@ -170,6 +172,88 @@ class TestOracleProperties:
                         scattered[nx] = scattered.get(nx, 0) + step.weight * v
             recomputed = {x: v for x in columns if (v := table.count(x, n + 1))}
             assert scattered == recomputed
+
+
+def _slow_weight(q):
+    return sum(p.weight for p in iter_paths(q))
+
+
+def _raised(f, q):
+    with pytest.raises(Exception) as info:
+        f(q)
+    return type(info.value), str(info.value)
+
+
+BAD_ARRANGEMENTS = [
+    Arrangement((Restriction(Kind.WALL_LEFT, 3), Restriction(Kind.WALL_RIGHT, 1))),
+    Arrangement((Restriction(Kind.FILTER1, 0), Restriction(Kind.FILTER2, 1))),
+    Arrangement((Restriction(Kind.FILTER1, 0), Restriction(Kind.WALL_LEFT, 1))),
+]
+
+
+class TestEnumWeight:
+    """enum_weight against its slow-path reference, the sum over iter_paths."""
+
+    @given(queries())
+    @settings(max_examples=200, deadline=None)
+    def test_equals_sum_over_iter_paths(self, q):
+        assert enum_weight(q) == _slow_weight(q)
+
+    @pytest.mark.parametrize("arr", [
+        Arrangement(),
+        F2_AT_1,
+        F2_AT_1_LITERAL,
+        canonical_arrangement(2, 9),
+        parse_arrangement("W@-1;F1@1;F2@3"),
+        Arrangement((Restriction(Kind.WALL_RIGHT, 2),), WeightRule.LITERAL),
+    ])
+    def test_every_endpoint_of_small_rows(self, arr):
+        for start in (-2, 0, 1):
+            for n in range(0, 9):
+                for m in range(start - n - 3, start + n + 4):
+                    q = PathQuery((start, 0), m, n, arr)
+                    assert enum_weight(q) == _slow_weight(q), q
+
+    def test_row_zero(self):
+        assert enum_weight(PathQuery((2, 0), 2, 0)) == 1
+        assert enum_weight(PathQuery((2, 0), 3, 0)) == 0
+        assert enum_weight(PathQuery((2, 0), 4, 0)) == 0
+
+    @pytest.mark.parametrize("m, n", [(1, 4), (0, 3), (7, 3), (-7, 3), (11, 9), (-11, 9), (10, 9)])
+    def test_off_parity_or_out_of_cone_is_zero(self, m, n):
+        q = PathQuery((0, 0), m, n, F2_AT_1)
+        assert enum_weight(q) == 0 == _slow_weight(q)
+
+    def test_known_weights(self):
+        assert enum_weight(PathQuery((0, 0), 2, 4, F2_AT_1_LITERAL)) == 12
+        assert enum_weight(PathQuery((0, 0), 2, 4, F2_AT_1)) == 8
+        assert enum_weight(PathQuery((0, 0), 3, 5, canonical_arrangement(2, 5))) == 8
+
+    @pytest.mark.parametrize("arr", BAD_ARRANGEMENTS)
+    def test_invalid_arrangement_raises_like_iter_paths(self, arr):
+        q = PathQuery((0, 0), 0, 4, arr)
+        kind, message = _raised(enum_weight, q)
+        assert issubclass(kind, ArrangementError)
+        assert (kind, message) == _raised(lambda q: list(iter_paths(q)), q)
+
+    @pytest.mark.parametrize("q", [
+        PathQuery((0, 0), 0, -1),
+        PathQuery((0, 2), 2, 4),
+        PathQuery((0, 2), 0, -1, BAD_ARRANGEMENTS[0]),
+        PathQuery((0, 1), 1, 3, BAD_ARRANGEMENTS[1]),
+    ])
+    def test_invalid_query_raises_in_iter_paths_order(self, q):
+        kind, message = _raised(enum_weight, q)
+        assert kind is InvalidQuery
+        assert (kind, message) == _raised(lambda q: list(iter_paths(q)), q)
+
+    def test_depth_guard(self):
+        with pytest.raises(TooLarge):
+            enum_weight(PathQuery((0, 0), 1, ENUM_MAX_ROWS + 1))
+        with pytest.raises(TooLarge):
+            enum_weight(PathQuery((0, 0), 10**6, ENUM_MAX_ROWS + 1, BAD_ARRANGEMENTS[0]))
+        with pytest.raises(InvalidQuery):
+            enum_weight(PathQuery((0, 1), 1, ENUM_MAX_ROWS + 1))
 
 
 class TestCountTable:

@@ -7,7 +7,7 @@ import pytest
 
 from filterpaths import verify
 from filterpaths.model import WeightRule
-from filterpaths.oracle import DP_MAX_ROWS
+from filterpaths.oracle import DP_MAX_ROWS, ENUM_MAX_ROWS
 from filterpaths.verify import (
     SweepSpec,
     run_lemma_suite,
@@ -87,6 +87,20 @@ class TestPropertySuite:
     def test_cases_validated(self):
         with pytest.raises(ValueError):
             run_property_suite(seed=1, cases=0)
+
+    @pytest.mark.parametrize("n_max", [-1, ENUM_MAX_ROWS + 1, 30])
+    def test_n_max_refused_before_any_case(self, n_max, monkeypatch):
+        def no_case(q):
+            raise AssertionError("a case ran")
+
+        monkeypatch.setattr(verify, "dp_count", no_case)
+        monkeypatch.setattr(verify, "enum_weight", no_case)
+        with pytest.raises(ValueError, match="n_max"):
+            run_property_suite(seed=1, cases=5, n_max=n_max)
+
+    def test_n_max_zero_allowed(self):
+        report = run_property_suite(seed=1, cases=5, n_max=0)
+        assert report.total == 15 and report.mismatches == 0
 
 
 class TestReports:
