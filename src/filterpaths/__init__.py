@@ -41,29 +41,26 @@ from .model import (
     Kind,
     OverlappingRestrictions,
     Restriction,
-    Step,
     UnsortedAxes,
     WallInsideFilterBand,
     WeightRule,
-    allowed_steps,
     canonical_arrangement,
     format_arrangement,
     parse_arrangement,
-    step_weight,
     validate,
 )
 from .oracle import (
     KERNEL_BACKEND,
-    CountTable,
     InvalidQuery,
     PathQuery,
     TooLarge,
     WeightedPath,
-    count_table,
     dp_count,
+    dp_rows,
     enum_weight,
     enumerate_paths,
     iter_paths,
+    row_count,
 )
 from .verify import (
     Cell,

@@ -13,8 +13,9 @@ evaluator.  A type-2 filter counts like a type-1 filter except to its
 right, so `filter2_left` and `filter2_neg` are the type-1 forms.
 
 `wall_term`, the series forms and `multiplicity` read `_row(n)`, the
-Pascal row C(n, 0..n), cached for the last n only (a sweep walks m inside
-n) and shared by every caller: never mutate it.  A series over every
+Pascal row C(n, 0..n), cached for the last n only (a sweep evaluates
+every formula on row n before row n + 1) and shared by every caller:
+never mutate it.  A series over every
 2l-th or 4l-th column is one strided slice of it (`_free_sum`).  Rows
 above `FORMULA_MAX_ROW` raise `DomainError` before one is built; `binom`,
 `count_free` and the one-image forms build no row and have no limit.

@@ -17,7 +17,6 @@ import re
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
-from typing import NamedTuple
 
 RIGHT = 1
 LEFT = -1
@@ -45,11 +44,6 @@ class WeightRule(Enum):
 
     LANDING = "landing"
     LITERAL = "literal"
-
-
-class Step(NamedTuple):
-    dx: int  # RIGHT or LEFT
-    weight: int
 
 
 @dataclass(frozen=True)
@@ -150,22 +144,6 @@ def validate(arr: Arrangement) -> Arrangement:
                 )
             claimed[key] = (w, r)
     return arr
-
-
-def step_weight(arr: Arrangement, x: int, dx: int) -> int:
-    """Weight of the step leaving column x in direction dx; 0 if forbidden."""
-    return step_rules(arr).get((x, dx), 1)
-
-
-def allowed_steps(arr: Arrangement, at: Point) -> list[tuple[Step, Point]]:
-    """Steps available at a point, rightward first, with resolved weights."""
-    x, y = at
-    out = []
-    for dx in (RIGHT, LEFT):
-        w = step_weight(arr, x, dx)
-        if w:
-            out.append((Step(dx, w), (x + dx, y + 1)))
-    return out
 
 
 def canonical_arrangement(l: int, n_max_row: int) -> Arrangement:

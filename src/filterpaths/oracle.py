@@ -2,25 +2,32 @@
 
 Two independent oracles: a row-by-row dynamic program in exact big-integer
 arithmetic and exhaustive enumeration for small depths.  Both DP drivers
-step parity-split rows (see `advance_row`): `dp_count` streams one row
-clipped to the light cone, O(N^2) time and O(N) memory; only `count_table`,
-for sweeps, keeps every row.  Enumeration comes in two forms: `iter_paths`
-/ `enumerate_paths` yield every allowed path with its points and weight,
-and `enum_weight` walks the same paths depth-first without building them
-and returns only their total weight.  It memoizes nothing and never touches
-the DP, so it stays an independent check of it.
+step parity-split rows (see `advance_row`) and keep one row at a time, so
+time is O(N^2) and memory O(N): `dp_count` clips its row to the light cone
+of one endpoint; `dp_rows`, for sweeps, yields every full row in turn, read
+by `row_count`, so a sweep can take row n of many streams before any row
+n + 1 is made.  Enumeration comes in two forms: `iter_paths` /
+`enumerate_paths` yield every allowed path with its points and weight, and
+`enum_weight` walks the same paths depth-first without building them and
+returns only their total weight.  It memoizes nothing and never touches the
+DP, so it stays an independent check of it.  Every oracle that takes a
+`PathQuery` refuses a bad one first (`_check_query`), then work above its
+row limit.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import accumulate
 
 from .model import LEFT, RIGHT, Arrangement, Point, step_rules, validate
 
 KERNEL_BACKEND = "python"
 ENUM_MAX_ROWS = 24
-DP_MAX_ROWS = 3000  # count_table keeps every row: ~560 MiB here on W@0;F1@1;F2@3
+# A DP's time grows as rows^2: at 3000 rows on W@0;F1@1;F2@3, dp_count takes
+# about 0.2 s and one full dp_rows stream 0.4 s (2-core Xeon).
+DP_MAX_ROWS = 3000
 
 
 class InvalidQuery(ValueError):
@@ -29,7 +36,8 @@ class InvalidQuery(ValueError):
 
 class TooLarge(ValueError):
     """Query refused before any work: enumeration (`enumerate_paths`,
-    `enum_weight`) above ENUM_MAX_ROWS rows or a DP above DP_MAX_ROWS rows."""
+    `enum_weight`) above ENUM_MAX_ROWS rows or a DP (`dp_count`, `dp_rows`)
+    above DP_MAX_ROWS rows, whose time grows as the square of its rows."""
 
 
 @dataclass(frozen=True)
@@ -49,26 +57,6 @@ class WeightedPath:
         """Step letters, e.g. ``"RRL"``."""
         xs = [p[0] for p in self.points]
         return "".join("R" if b > a else "L" for a, b in zip(xs, xs[1:]))
-
-
-class CountTable:
-    """All weighted counts from one start point, rows 0..n_rows.
-
-    Row y holds only the y + 1 columns of its parity that a walk can reach:
-    rows[y][k] counts the paths from start to (start - y + 2k, y), and every
-    other column counts 0.  `count` is the only documented reader.
-    """
-
-    def __init__(self, start: int, rows: list[list[int]]):
-        self.start = start
-        self.rows = rows
-
-    def count(self, m: int, n: int) -> int:
-        if not 0 <= n < len(self.rows):
-            raise InvalidQuery(f"row {n} outside computed range")
-        k, odd = divmod(m - self.start + n, 2)
-        row = self.rows[n]
-        return row[k] if not odd and 0 <= k < len(row) else 0
 
 
 def advance_row(row: list, lo: int, cols: list, fixes: list) -> list:
@@ -109,15 +97,35 @@ def _fixes_by_parity(n_rows: int, arr: Arrangement) -> tuple:
     return by_parity
 
 
-def count_table(start_x: int, n_rows: int, arr: Arrangement) -> CountTable:
-    """Run the DP for every endpoint up to row n_rows at once, keeping every row."""
+def _check_query(q: PathQuery) -> None:
+    """Refuse a query outside every oracle's domain: a negative end row or
+    a start off row 0."""
+    if q.end_n < 0:
+        raise InvalidQuery(f"end row must be >= 0, got {q.end_n}")
+    if q.start[1] != 0:
+        raise InvalidQuery(f"start must sit on row 0, got {q.start}")
+
+
+def dp_rows(start_x: int, n_rows: int, arr: Arrangement):
+    """The DP's rows 0..n_rows from (start_x, 0), one at a time.
+
+    Row y holds only the y + 1 columns of its parity that a walk can reach;
+    read it with `row_count`.  Bad arguments raise here, before any row is
+    made: InvalidQuery, TooLarge, then the arrangement's error.
+    """
     if n_rows < 0:
         raise InvalidQuery(f"row count must be >= 0, got {n_rows}")
     by_parity = _fixes_by_parity(n_rows, arr)
-    rows = [[1]]
-    for lo in range(start_x, start_x - n_rows, -1):
-        rows.append(advance_row(rows[-1], lo, *by_parity[lo & 1]))
-    return CountTable(start_x, rows)
+    return accumulate(range(start_x, start_x - n_rows, -1),
+                      lambda row, lo: advance_row(row, lo, *by_parity[lo & 1]),
+                      initial=[1])
+
+
+def row_count(row: list, start_x: int, m: int) -> int:
+    """The count at column m of a row of `dp_rows(start_x, ...)`; 0 off its
+    parity or window.  Row n's cell k is column start_x - n + 2k."""
+    k, odd = divmod(m - start_x + len(row) - 1, 2)
+    return row[k] if not odd and 0 <= k < len(row) else 0
 
 
 def dp_count(q: PathQuery) -> int:
@@ -127,10 +135,7 @@ def dp_count(q: PathQuery) -> int:
     row, clipped to the backward cone |end_m - x| <= end_n - y, so time is
     O(n^2) and memory O(n) ints.
     """
-    if q.end_n < 0:
-        raise InvalidQuery(f"end row must be >= 0, got {q.end_n}")
-    if q.start[1] != 0:
-        raise InvalidQuery(f"start must sit on row 0, got {q.start}")
+    _check_query(q)
     by_parity = _fixes_by_parity(q.end_n, q.arrangement)
     m, n, lo = q.end_m, q.end_n, q.start[0]
     if abs(m - lo) > n or (m - lo + n) % 2:
@@ -148,10 +153,7 @@ def dp_count(q: PathQuery) -> int:
 
 def iter_paths(q: PathQuery):
     """Depth-first generator of allowed paths, rightward branch first."""
-    if q.end_n < 0:
-        raise InvalidQuery(f"end row must be >= 0, got {q.end_n}")
-    if q.start[1] != 0:
-        raise InvalidQuery(f"start must sit on row 0, got {q.start}")
+    _check_query(q)
     validate(q.arrangement)
     rules = step_rules(q.arrangement)
     m, n = q.end_m, q.end_n
@@ -184,10 +186,7 @@ def enum_weight(q: PathQuery) -> int:
     `iter_paths` (InvalidQuery, then the arrangement's error), with
     TooLarge checked before the arrangement.
     """
-    if q.end_n < 0:
-        raise InvalidQuery(f"end row must be >= 0, got {q.end_n}")
-    if q.start[1] != 0:
-        raise InvalidQuery(f"start must sit on row 0, got {q.start}")
+    _check_query(q)
     if q.end_n > ENUM_MAX_ROWS:
         raise TooLarge(f"enumeration limited to {ENUM_MAX_ROWS} rows, got {q.end_n}")
     validate(q.arrangement)
@@ -214,7 +213,8 @@ def enum_weight(q: PathQuery) -> int:
 
 
 def enumerate_paths(q: PathQuery) -> list[WeightedPath]:
-    """Every allowed path with its weight; guarded against deep queries."""
+    """Every allowed path with its weight; guarded like `enum_weight`."""
+    _check_query(q)
     if q.end_n > ENUM_MAX_ROWS:
         raise TooLarge(f"enumeration limited to {ENUM_MAX_ROWS} rows, got {q.end_n}")
     return list(iter_paths(q))

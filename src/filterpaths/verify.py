@@ -25,7 +25,7 @@ from .model import (
     canonical_arrangement,
     validate,
 )
-from .oracle import DP_MAX_ROWS, ENUM_MAX_ROWS, PathQuery, count_table, dp_count, enum_weight
+from .oracle import DP_MAX_ROWS, ENUM_MAX_ROWS, PathQuery, dp_count, dp_rows, enum_weight, row_count
 
 
 @dataclass(frozen=True)
@@ -226,24 +226,17 @@ def _values(spec: SweepSpec, name: str):
             "a": range(spec.a_max + 1), "b": range(spec.b_max + 1)}.get(name, (None,))
 
 
-def _endpoints(n_max: int, m_range):
-    """All (m, n) with n <= n_max, parity-matched, m within m_range(n)."""
-    for n in range(0, n_max + 1):
-        lo, hi = m_range(n)
-        start = lo if (n - lo) % 2 == 0 else lo + 1
-        for m in range(start, hi + 1, 2):
-            yield m, n
-
-
 def _sweep(spec: SweepSpec, rows: tuple[Formula, ...]) -> CompareReport:
     """Every row's cells, all rows per grid value, in table order.
 
-    Consecutive rows with the same start and arrangement share one DP
-    table; no other table is kept, so at most one is alive at a time.
+    Each (row, grid value, start index) is a lane; lanes with the same
+    start and arrangement read one `dp_rows` stream.  n is the outer loop:
+    row n of every stream is taken, then every lane's cells on row n are
+    made, so each stream holds one row and the closed forms build each
+    Pascal row once.  The lanes' cells are joined in table order.
     """
     spec.check()
-    report = CompareReport()
-    key = table = None
+    lanes, stream_of = [], {}
     for grid, group in groupby(rows, attrgetter("grid")):
         group = tuple(group)
         for g in _values(spec, grid):
@@ -251,16 +244,21 @@ def _sweep(spec: SweepSpec, rows: tuple[Formula, ...]) -> CompareReport:
                 arr = Arrangement(row.restrictions(spec, g), spec.semantics)
                 for i in _values(spec, row.index):
                     start = row.start(g, i)
-                    if key != (start, arr):
-                        table = None  # release the old table before building the next
-                        table = count_table(start, spec.n_max, arr)
-                        key = (start, arr)
+                    s = stream_of.setdefault((start, arr), len(stream_of))
                     fixed = {k: v for k, v in ((row.index, i), (grid, g)) if k}
-                    for m, n in _endpoints(spec.n_max, lambda n: row.m_range(spec, g, n)):
-                        params = dict(fixed, m=m, n=n)
-                        report.cells.append(Cell(row.id, tuple(params.items()),
-                                                 row.value(formulas, **params),
-                                                 table.count(m, n)))
+                    lanes.append((row, g, fixed, start, s, []))
+    streams = [dp_rows(start, spec.n_max, arr) for start, arr in stream_of]
+    for n, dp in enumerate(zip(*streams)):
+        for row, g, fixed, start, s, cells in lanes:
+            lo, hi = row.m_range(spec, g, n)
+            for m in range(lo + (n - lo) % 2, hi + 1, 2):
+                params = dict(fixed, m=m, n=n)
+                cells.append(Cell(row.id, tuple(params.items()),
+                                  row.value(formulas, **params), row_count(dp[s], start, m)))
+    report = CompareReport()
+    for *_, cells in lanes:
+        report.cells += cells
+        cells.clear()  # so the cells' list is not held twice
     return report
 
 

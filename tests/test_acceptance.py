@@ -19,7 +19,7 @@ from filterpaths.formulas import (
     wall_term,
 )
 from filterpaths.model import WeightRule, canonical_arrangement
-from filterpaths.oracle import PathQuery, count_table, iter_paths
+from filterpaths.oracle import PathQuery, dp_rows, iter_paths, row_count
 from filterpaths.verify import (
     SweepSpec,
     run_lemma_suite,
@@ -77,12 +77,11 @@ def test_criterion_3_main_theorem():
         seen_anchors = {}
         for l in (2, 3, 4, 5):
             n_max = 48
-            table = count_table(0, n_max, canonical_arrangement(l, n_max))
             strips_cap = 5 * l - 2  # last column of strip 5
-            for n in range(0, n_max + 1):
+            for n, row in enumerate(dp_rows(0, n_max, canonical_arrangement(l, n_max))):
                 for m in range(n % 2, min(n, strips_cap) + 1, 2):
                     value = multiplicity(l, m, n)
-                    assert value == table.count(m, n), (l, m, n)
+                    assert value == row_count(row, 0, m), (l, m, n)
                     if (l, m, n) in anchors:
                         seen_anchors[(l, m, n)] = value
         assert seen_anchors == anchors

@@ -272,3 +272,25 @@ def test_module_invocation_byte_identical():
     assert first.returncode == second.returncode == 0
     assert first.stdout == second.stdout
     assert b"value 24" in first.stdout
+
+
+def test_names_the_benchmark_reads_exist(capsys, monkeypatch):
+    """perfbench/ drives every run through `cli.main`, swaps its own
+    `cli.run_theorem_suite` in for the theorem sweep, and records
+    `filterpaths.KERNEL_BACKEND` in every pass; deleting one of them must
+    fail here rather than in the benchmark."""
+    import filterpaths
+    from filterpaths import cli
+
+    assert filterpaths.KERNEL_BACKEND == "python"
+    suite, captured = cli.run_theorem_suite, []
+
+    def capture(spec):
+        captured.append(suite(spec))
+        return captured[-1]
+
+    monkeypatch.setattr(cli, "run_theorem_suite", capture)
+    code, _, _ = run_cli(capsys, "compare", "--suite", "theorems", "--n-max", "4",
+                         "--format", "text")
+    assert code == 0
+    assert len(captured) == 1 and captured[0].total > 0

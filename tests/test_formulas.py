@@ -43,7 +43,7 @@ from filterpaths.formulas import (
     wall_two_filters,
 )
 from filterpaths.model import Arrangement, Kind, Restriction, canonical_arrangement
-from filterpaths.oracle import count_table
+from filterpaths.oracle import dp_rows, row_count
 
 
 class TestBinom:
@@ -337,18 +337,16 @@ class TestFormulaOracleSpotChecks:
              lambda n: range(-2, n + 1)),
         ]
         for restriction, formula, m_range in cases:
-            table = count_table(0, 14, Arrangement((restriction,)))
-            for n in range(0, 15):
+            for n, row in enumerate(dp_rows(0, 14, Arrangement((restriction,)))):
                 for m in m_range(n):
                     if (n - m) % 2 == 0:
-                        assert formula(m, n) == table.count(m, n), (restriction, m, n)
+                        assert formula(m, n) == row_count(row, 0, m), (restriction, m, n)
 
     def test_multiplicity_grid(self):
         for l in (2, 3):
-            table = count_table(0, 18, canonical_arrangement(l, 18))
-            for n in range(0, 19):
+            for n, row in enumerate(dp_rows(0, 18, canonical_arrangement(l, 18))):
                 for m in range(n % 2, n + 1, 2):
-                    assert multiplicity(l, m, n) == table.count(m, n), (l, m, n)
+                    assert multiplicity(l, m, n) == row_count(row, 0, m), (l, m, n)
 
 
 # -- slow-path reference ------------------------------------------------------

@@ -14,7 +14,7 @@ from filterpaths.model import (
     canonical_arrangement,
     step_rules,
 )
-from filterpaths.oracle import PathQuery, advance_row, count_table, dp_count
+from filterpaths.oracle import PathQuery, advance_row, dp_count, dp_rows, row_count
 
 
 def _scatter_row(row: list, wr: bytes, wl: bytes) -> list:
@@ -51,15 +51,16 @@ def _scatter_table(start_x: int, n_rows: int, arr: Arrangement):
 
 
 def _assert_drivers_match_scatter(start: int, n: int, arr: Arrangement) -> None:
-    """count_table at every (m, y <= n) and dp_count at every m of row n, for
+    """dp_rows at every (m, y <= n) and dp_count at every m of row n, for
     m in [start - n - 2, start + n + 2]: off-parity and out-of-cone included."""
     lo, rows = _scatter_table(start, n, arr)
-    table = count_table(start, n, arr)
+    streamed = list(dp_rows(start, n, arr))
+    assert len(streamed) == len(rows)
     ms = range(start - n - 2, start + n + 3)
-    for y, ref in enumerate(rows):
+    for y, (ref, row) in enumerate(zip(rows, streamed)):
         for m in ms:
             want = ref[m - lo] if 0 <= m - lo < len(ref) else 0
-            assert table.count(m, y) == want, (m, y)
+            assert row_count(row, start, m) == want, (m, y)
     for m in ms:
         want = rows[n][m - lo] if 0 <= m - lo < len(rows[n]) else 0
         assert dp_count(PathQuery((start, 0), m, n, arr)) == want, m

@@ -11,15 +11,13 @@ from filterpaths.model import (
     Kind,
     OverlappingRestrictions,
     Restriction,
-    Step,
     UnsortedAxes,
     WallInsideFilterBand,
     WeightRule,
-    allowed_steps,
     canonical_arrangement,
     format_arrangement,
     parse_arrangement,
-    step_weight,
+    step_rules,
     validate,
 )
 
@@ -30,18 +28,28 @@ def arr(*pairs, semantics=WeightRule.LANDING):
     return Arrangement(tuple(Restriction(k, a) for k, a in pairs), semantics)
 
 
+def step_weight(a, x, dx):
+    """Weight of the step leaving column x in direction dx; 0 if forbidden."""
+    return step_rules(a).get((x, dx), 1)
+
+
+def allowed(a, x):
+    """(dx, weight) of each step allowed from column x, rightward first."""
+    return [(dx, w) for dx in (1, -1) if (w := step_weight(a, x, dx))]
+
+
 class TestAllowedSteps:
     def test_wall_column_is_one_way(self):
         a = canonical_arrangement(2, 9)
-        assert allowed_steps(a, (0, 2)) == [(Step(1, 1), (1, 3))]
+        assert allowed(a, 0) == [(1, 1)]
 
     def test_between_filters_both_landings_doubled(self):
         a = canonical_arrangement(2, 9)
-        assert allowed_steps(a, (2, 2)) == [(Step(1, 2), (3, 3)), (Step(-1, 2), (1, 3))]
+        assert allowed(a, 2) == [(1, 2), (-1, 2)]
 
     def test_unrestricted_interior_column(self):
         a = canonical_arrangement(5, 9)
-        assert allowed_steps(a, (2, 2)) == [(Step(1, 1), (3, 3)), (Step(-1, 1), (1, 3))]
+        assert allowed(a, 2) == [(1, 1), (-1, 1)]
 
     def test_filter1_landing_from_right_doubled(self):
         a = arr((F1, 3))
@@ -66,13 +74,13 @@ class TestAllowedSteps:
             for dx in (1, -1):
                 assert step_weight(landing, x, dx) == step_weight(literal, x, dx)
 
-    @given(arrangements(), st.integers(-12, 12), st.integers(0, 30))
-    def test_weights_in_range_and_one_way_axes(self, a, x, y):
-        steps = allowed_steps(a, (x, y))
+    @given(arrangements(), st.integers(-12, 12))
+    def test_weights_in_range_and_one_way_axes(self, a, x):
+        steps = allowed(a, x)
         assert 0 <= len(steps) <= 2
-        for step, (nx, ny) in steps:
-            assert step.weight in (1, 2)
-            assert nx == x + step.dx and ny == y + 1
+        for dx, weight in steps:
+            assert weight in (1, 2)
+            assert dx in (1, -1)
         if any(r.axis == x for r in a.restrictions):
             assert len(steps) == 1
 
@@ -110,8 +118,8 @@ class TestValidate:
 
     def test_two_walls_box(self):
         a = validate(arr((W, 0), (WR, 1)))
-        assert allowed_steps(a, (0, 0)) == [(Step(1, 1), (1, 1))]
-        assert allowed_steps(a, (1, 1)) == [(Step(-1, 1), (0, 2))]
+        assert allowed(a, 0) == [(1, 1)]
+        assert allowed(a, 1) == [(-1, 1)]
 
 
 class TestCanonicalArrangement:

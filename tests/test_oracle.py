@@ -12,9 +12,9 @@ from filterpaths.model import (
     Kind,
     Restriction,
     WeightRule,
-    allowed_steps,
     canonical_arrangement,
     parse_arrangement,
+    step_rules,
 )
 from filterpaths.formulas import wall_term
 from filterpaths.oracle import (
@@ -23,15 +23,29 @@ from filterpaths.oracle import (
     InvalidQuery,
     PathQuery,
     TooLarge,
-    count_table,
     dp_count,
+    dp_rows,
     enum_weight,
     enumerate_paths,
     iter_paths,
+    row_count,
 )
 
 F2_AT_1 = Arrangement((Restriction(Kind.FILTER2, 1),))
 F2_AT_1_LITERAL = Arrangement((Restriction(Kind.FILTER2, 1),), WeightRule.LITERAL)
+
+
+def _raised(f, q):
+    with pytest.raises(Exception) as info:
+        f(q)
+    return type(info.value), str(info.value)
+
+
+BAD_ARRANGEMENTS = [
+    Arrangement((Restriction(Kind.WALL_LEFT, 3), Restriction(Kind.WALL_RIGHT, 1))),
+    Arrangement((Restriction(Kind.FILTER1, 0), Restriction(Kind.FILTER2, 1))),
+    Arrangement((Restriction(Kind.FILTER1, 0), Restriction(Kind.WALL_LEFT, 1))),
+]
 
 
 class TestDpCount:
@@ -84,10 +98,9 @@ class TestDpCount:
 
     def test_wall_reflection_identity(self):
         wall = Arrangement((Restriction(Kind.WALL_LEFT, 0),))
-        table = count_table(0, 16, wall)
-        for n in range(0, 17):
+        for n, row in enumerate(dp_rows(0, 16, wall)):
             for m in range(n % 2, n + 1, 2):
-                assert table.count(m, n) == wall_term(m, n)
+                assert row_count(row, 0, m) == wall_term(m, n)
 
 
 class TestEnumeratePaths:
@@ -114,6 +127,16 @@ class TestEnumeratePaths:
     def test_depth_guard(self):
         with pytest.raises(TooLarge):
             enumerate_paths(PathQuery((0, 0), 1, ENUM_MAX_ROWS + 1))
+
+    @pytest.mark.parametrize("q", [
+        PathQuery((0, 1), 1, ENUM_MAX_ROWS + 1),
+        PathQuery((0, 1), 1, ENUM_MAX_ROWS + 1, BAD_ARRANGEMENTS[0]),
+        PathQuery((0, 0), 0, -1, BAD_ARRANGEMENTS[1]),
+    ])
+    def test_invalid_query_checked_before_depth(self, q):
+        kind, message = _raised(enumerate_paths, q)
+        assert kind is InvalidQuery
+        assert (kind, message) == _raised(enum_weight, q) == _raised(dp_count, q)
 
     def test_empty_path(self):
         paths = enumerate_paths(PathQuery((2, 0), 2, 0))
@@ -151,44 +174,35 @@ class TestOracleProperties:
     @given(queries())
     @settings(max_examples=60, deadline=None)
     def test_each_path_walks_allowed_steps(self, q):
+        rules = step_rules(q.arrangement)
         for path in iter_paths(q):
             weight = 1
-            for a, b in zip(path.points, path.points[1:]):
-                options = {next_pt: step for step, next_pt in allowed_steps(q.arrangement, a)}
-                assert b in options
-                weight *= options[b].weight
+            for (x, y), (nx, ny) in zip(path.points, path.points[1:]):
+                assert nx - x in (1, -1) and ny == y + 1
+                step = rules.get((x, nx - x), 1)
+                assert step
+                weight *= step
             assert weight == path.weight
 
     def test_row_recurrence_matches_step_scatter(self):
         arr = canonical_arrangement(3, 12)
-        table = count_table(0, 12, arr)
+        rows = list(dp_rows(0, 12, arr))
+        rules = step_rules(arr)
         columns = range(-12, 13)
         for n in range(0, 12):
             scattered = {}
             for x in columns:
-                v = table.count(x, n)
-                if v:
-                    for step, (nx, _) in allowed_steps(arr, (x, n)):
-                        scattered[nx] = scattered.get(nx, 0) + step.weight * v
-            recomputed = {x: v for x in columns if (v := table.count(x, n + 1))}
+                v = row_count(rows[n], 0, x)
+                for dx in (1, -1):
+                    w = rules.get((x, dx), 1)
+                    if v and w:
+                        scattered[x + dx] = scattered.get(x + dx, 0) + w * v
+            recomputed = {x: v for x in columns if (v := row_count(rows[n + 1], 0, x))}
             assert scattered == recomputed
 
 
 def _slow_weight(q):
     return sum(p.weight for p in iter_paths(q))
-
-
-def _raised(f, q):
-    with pytest.raises(Exception) as info:
-        f(q)
-    return type(info.value), str(info.value)
-
-
-BAD_ARRANGEMENTS = [
-    Arrangement((Restriction(Kind.WALL_LEFT, 3), Restriction(Kind.WALL_RIGHT, 1))),
-    Arrangement((Restriction(Kind.FILTER1, 0), Restriction(Kind.FILTER2, 1))),
-    Arrangement((Restriction(Kind.FILTER1, 0), Restriction(Kind.WALL_LEFT, 1))),
-]
 
 
 class TestEnumWeight:
@@ -257,20 +271,44 @@ class TestEnumWeight:
 
 
 class TestCountTable:
+    """The DP's table of counts, streamed one row at a time by `dp_rows`
+    and read by `row_count`."""
+
     def test_row_out_of_range(self):
-        table = count_table(0, 4, Arrangement())
-        with pytest.raises(InvalidQuery):
-            table.count(0, 5)
+        stream = dp_rows(0, 4, Arrangement())
+        rows = [next(stream) for _ in range(5)]
+        assert [len(row) for row in rows] == [1, 2, 3, 4, 5]
+        with pytest.raises(StopIteration):
+            next(stream)
 
     def test_column_out_of_window_is_zero(self):
-        table = count_table(0, 4, Arrangement())
-        assert table.count(99, 4) == 0
-        assert table.count(-99, 4) == 0
+        *_, row = dp_rows(0, 4, Arrangement())
+        assert row_count(row, 0, 99) == 0
+        assert row_count(row, 0, -99) == 0
+        assert row_count(row, 0, 6) == 0 == row_count(row, 0, -6)
+        assert [row_count(row, 0, m) for m in range(-4, 5)] == [1, 0, 4, 0, 6, 0, 4, 0, 1]
+
+    def test_start_offset_and_parity(self):
+        rows = list(dp_rows(-3, 3, Arrangement()))
+        assert [row_count(rows[3], -3, m) for m in range(-6, 1)] == [1, 0, 3, 0, 3, 0, 1]
+        assert row_count(rows[0], -3, -3) == 1
+        assert row_count(rows[0], -3, -2) == row_count(rows[0], -3, -4) == 0
 
     def test_negative_row_count_rejected(self):
         with pytest.raises(InvalidQuery):
-            count_table(0, -1, Arrangement())
+            dp_rows(0, -1, Arrangement())
+        with pytest.raises(InvalidQuery):
+            dp_rows(0, -1, BAD_ARRANGEMENTS[0])
 
     def test_row_limit_refused_before_allocating(self):
         with pytest.raises(TooLarge):
-            count_table(0, DP_MAX_ROWS + 1, Arrangement())
+            dp_rows(0, DP_MAX_ROWS + 1, Arrangement())
+        with pytest.raises(TooLarge):
+            dp_rows(0, DP_MAX_ROWS + 1, BAD_ARRANGEMENTS[0])
+
+    @pytest.mark.parametrize("arr", BAD_ARRANGEMENTS)
+    def test_invalid_arrangement_raises_at_the_call(self, arr):
+        q = PathQuery((0, 0), 0, 4, arr)
+        kind, message = _raised(lambda q: dp_rows(0, q.end_n, q.arrangement), q)
+        assert issubclass(kind, ArrangementError)
+        assert (kind, message) == _raised(dp_count, q)

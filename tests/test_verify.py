@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from filterpaths import verify
+from filterpaths import formulas, verify
 from filterpaths.model import WeightRule
 from filterpaths.oracle import DP_MAX_ROWS, ENUM_MAX_ROWS
 from filterpaths.verify import (
@@ -185,21 +185,27 @@ class TestSweepSpecValidation:
 
 class TestFormulaTable:
     @pytest.mark.parametrize("suite, calls", [
-        (run_lemma_suite, 37),  # filter{1,2}_left/right share a table per d
-        (run_theorem_suite, 44),  # th3 and th32 at a=0 share a table per l
+        (run_lemma_suite, 37),  # filter{1,2}_left/right share a stream per d
+        (run_theorem_suite, 44),  # th3 and th32 at a=0 share a stream per l
     ])
     def test_consecutive_rows_share_one_table(self, monkeypatch, suite, calls):
         seen = []
-        real = verify.count_table
+        real = verify.dp_rows
 
         def spy(start_x, n_rows, arr):
             seen.append((start_x, arr))
             return real(start_x, n_rows, arr)
 
-        monkeypatch.setattr(verify, "count_table", spy)
+        monkeypatch.setattr(verify, "dp_rows", spy)
         suite(SweepSpec())
         assert len(seen) == calls
-        assert all(a != b for a, b in zip(seen, seen[1:]))
+        assert len(set(seen)) == calls
+
+    @pytest.mark.parametrize("n_max", [0, 7, 48])
+    def test_each_pascal_row_built_once(self, n_max):
+        formulas._row.cache_clear()
+        run_theorem_suite(SweepSpec(n_max=n_max))
+        assert formulas._row.cache_info().misses == n_max + 1
 
     @pytest.mark.parametrize("semantics, mismatches, digest", [
         (WeightRule.LANDING, 0,
