@@ -59,7 +59,6 @@ from .oracle import (
     dp_rows,
     enum_weight,
     enumerate_paths,
-    iter_paths,
     row_count,
 )
 from .verify import (

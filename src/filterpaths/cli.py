@@ -16,14 +16,7 @@ import sys
 
 from . import __version__, formulas
 from .formulas import DomainError
-from .model import (
-    ArrangementError,
-    InvalidL,
-    WeightRule,
-    canonical_arrangement,
-    format_arrangement,
-    parse_arrangement,
-)
+from .model import WeightRule, format_arrangement, parse_arrangement
 from .oracle import KERNEL_BACKEND, PathQuery, dp_count, enumerate_paths
 from .verify import FORMULAS, SweepSpec, run_lemma_suite, run_property_suite, run_theorem_suite
 
@@ -39,22 +32,18 @@ def _fail(message: str) -> int:
     return USAGE_ERROR
 
 
-def _evaluate_formula(formula: str, l: int, m: int, n: int) -> tuple[int, str]:
-    if formula == "auto":
-        j = formulas.strip_index(l, m)
-        return COUNT_FORMULAS["mj"].value(formulas, l=l, m=m, n=n), ("desire1" if j == 1 else "mj")
-    return COUNT_FORMULAS[formula].value(formulas, l=l, m=m, n=n), formula
-
-
 def cmd_count(args: argparse.Namespace) -> int:
     l, m, n = args.l, args.m, args.n
     if (m + n) % 2:
         return _fail(f"parity violation: m + n must be even, got m={m}, n={n}")
+    used = args.formula
     try:
-        value, used = _evaluate_formula(args.formula, l, m, n)
+        value = COUNT_FORMULAS["mj" if used == "auto" else used].value(formulas, l=l, m=m, n=n)
         j = formulas.strip_index(l, m)
-    except (DomainError, formulas.InvalidN, InvalidL) as exc:
+    except (DomainError, formulas.InvalidN) as exc:
         return _fail(str(exc))
+    if used == "auto":
+        used = "desire1" if j == 1 else "mj"
     if args.format == "json":
         print(json.dumps(
             {"value": str(value), "strip": j, "formula": used,
@@ -69,15 +58,20 @@ def cmd_count(args: argparse.Namespace) -> int:
     return 0
 
 
+def _read_query(args: argparse.Namespace) -> PathQuery:
+    arr = parse_arrangement(args.arr, WeightRule(args.semantics))
+    return PathQuery((args.start, 0), args.m, args.n, arr)
+
+
 def cmd_oracle(args: argparse.Namespace) -> int:
     try:
-        arr = parse_arrangement(args.arr, WeightRule(args.semantics))
-        value = dp_count(PathQuery((args.start, 0), args.m, args.n, arr))
-    except (ArrangementError, ValueError) as exc:
+        q = _read_query(args)
+        value = dp_count(q)
+    except ValueError as exc:
         return _fail(str(exc))
     if args.format == "json":
         print(json.dumps(
-            {"value": str(value), "arrangement": format_arrangement(arr),
+            {"value": str(value), "arrangement": format_arrangement(q.arrangement),
              "start": args.start, "m": args.m, "n": args.n,
              "semantics": args.semantics},
             indent=2,
@@ -89,9 +83,8 @@ def cmd_oracle(args: argparse.Namespace) -> int:
 
 def cmd_paths(args: argparse.Namespace) -> int:
     try:
-        arr = parse_arrangement(args.arr, WeightRule(args.semantics))
-        paths = enumerate_paths(PathQuery((args.start, 0), args.m, args.n, arr))
-    except (ArrangementError, ValueError) as exc:
+        paths = enumerate_paths(_read_query(args))
+    except ValueError as exc:
         return _fail(str(exc))
     total = sum(p.weight for p in paths)
     if args.format == "json":
@@ -232,24 +225,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(func=cmd_count)
 
-    p = sub.add_parser("oracle", help="DP-count walks under an arrangement")
-    p.add_argument("--arr", required=True,
-                   help="arrangement, e.g. 'W@0;F1@4;F2@9'")
-    p.add_argument("--start", type=int, default=0, help="start column (row 0)")
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--semantics", choices=("landing", "literal"), default="landing")
-    p.add_argument("--format", choices=("text", "json"), default="text")
-    p.set_defaults(func=cmd_oracle)
-
-    p = sub.add_parser("paths", help="enumerate every walk with its weight")
-    p.add_argument("--arr", default="", help="arrangement (empty = unrestricted)")
-    p.add_argument("--start", type=int, default=0)
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--semantics", choices=("landing", "literal"), default="landing")
-    p.add_argument("--format", choices=("text", "json"), default="text")
-    p.set_defaults(func=cmd_paths)
+    for name, summary, func in (("oracle", "DP-count walks under an arrangement", cmd_oracle),
+                                ("paths", "enumerate every walk with its weight", cmd_paths)):
+        p = sub.add_parser(name, help=summary)
+        p.add_argument("--arr", required=name == "oracle", default="",
+                       help="arrangement, e.g. 'W@0;F1@4;F2@9' (empty = unrestricted)")
+        p.add_argument("--start", type=int, default=0, help="start column (row 0)")
+        p.add_argument("--m", type=int, required=True)
+        p.add_argument("--n", type=int, required=True)
+        p.add_argument("--semantics", choices=("landing", "literal"), default="landing")
+        p.add_argument("--format", choices=("text", "json"), default="text")
+        p.set_defaults(func=func)
 
     p = sub.add_parser("compare", help="sweep formulas against the oracle")
     p.add_argument("--l", default="2,3,4,5", help="l values, e.g. '2..4' or '2,5'")

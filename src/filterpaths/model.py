@@ -8,7 +8,10 @@ restrictions together with the weighting rule used for type-2 columns.
 
 Every rule a restriction imposes is keyed by (source column, direction),
 so an arrangement is valid exactly when the union of its restrictions'
-rules is single-valued.
+rules is single-valued.  `step_rules` is the one place that is checked:
+it merges the rules, raises on the first conflict, and caches the merged
+map of each valid arrangement.  `validate` and every oracle go through it,
+so each restriction's rules are derived once per arrangement.
 """
 
 from __future__ import annotations
@@ -109,31 +112,22 @@ def _restriction_rules(r: Restriction, semantics: WeightRule) -> dict[tuple[int,
 def step_rules(arr: Arrangement) -> dict[tuple[int, int], int]:
     """Merged (source column, dx) -> weight map; 0 forbidden, absent means 1.
 
-    Cached per arrangement; callers must not mutate the result.
-    """
-    merged: dict[tuple[int, int], int] = {}
-    for r in arr.restrictions:
-        merged.update(_restriction_rules(r, arr.semantics))
-    return merged
-
-
-def validate(arr: Arrangement) -> Arrangement:
-    """Check arrangement invariants; raise naming the first violated one.
-
-    Raises UnsortedAxes when axes are not strictly increasing,
-    WallInsideFilterBand when a wall and a filter disagree about a step,
-    and OverlappingRestrictions when two filters do.  Returns the
-    arrangement itself so calls can be chained.
+    Checks the arrangement while merging and raises naming the first
+    violated invariant: UnsortedAxes when axes are not strictly
+    increasing, WallInsideFilterBand when a wall and a filter disagree
+    about a step, OverlappingRestrictions when two filters do.  Cached per
+    valid arrangement; callers must not mutate the result.
     """
     axes = [r.axis for r in arr.restrictions]
     for a, b in zip(axes, axes[1:]):
         if a >= b:
             raise UnsortedAxes(f"axes must strictly increase, got {a} before {b}")
-    claimed: dict[tuple[int, int], tuple[int, Restriction]] = {}
+    merged: dict[tuple[int, int], int] = {}
+    owner: dict[tuple[int, int], Restriction] = {}
     for r in arr.restrictions:
         for key, w in _restriction_rules(r, arr.semantics).items():
-            if key in claimed and claimed[key][0] != w:
-                other = claimed[key][1]
+            if merged.get(key, w) != w:
+                other = owner[key]
                 wall = Kind.WALL_LEFT, Kind.WALL_RIGHT
                 if r.kind in wall or other.kind in wall:
                     raise WallInsideFilterBand(
@@ -142,7 +136,15 @@ def validate(arr: Arrangement) -> Arrangement:
                 raise OverlappingRestrictions(
                     f"{other.token()} and {r.token()} claim the same step at column {key[0]}"
                 )
-            claimed[key] = (w, r)
+            merged[key] = w
+            owner[key] = r
+    return merged
+
+
+def validate(arr: Arrangement) -> Arrangement:
+    """Check arrangement invariants (see `step_rules`, which raises);
+    returns the arrangement itself so calls can be chained."""
+    step_rules(arr)
     return arr
 
 

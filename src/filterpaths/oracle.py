@@ -6,13 +6,14 @@ step parity-split rows (see `advance_row`) and keep one row at a time, so
 time is O(N^2) and memory O(N): `dp_count` clips its row to the light cone
 of one endpoint; `dp_rows`, for sweeps, yields every full row in turn, read
 by `row_count`, so a sweep can take row n of many streams before any row
-n + 1 is made.  Enumeration comes in two forms: `iter_paths` /
-`enumerate_paths` yield every allowed path with its points and weight, and
-`enum_weight` walks the same paths depth-first without building them and
-returns only their total weight.  It memoizes nothing and never touches the
-DP, so it stays an independent check of it.  Every oracle that takes a
-`PathQuery` refuses a bad one first (`_check_query`), then work above its
-row limit.
+n + 1 is made.  Enumeration comes in two forms: `enumerate_paths` lists
+every allowed path with its points and weight, and `enum_weight` walks the
+same paths depth-first without building them and returns only their total
+weight.  It memoizes nothing and never touches the DP, so it stays an
+independent check of it.  Every oracle refuses a bad call before any work,
+in one order: a bad query, its row limit, then the arrangement's error
+from `model.step_rules`, which hands it its rules (`_guarded_rules`).
+`enumerate_paths`, the one lister, also refuses over ENUM_MAX_PATHS paths.
 """
 
 from __future__ import annotations
@@ -20,11 +21,15 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import accumulate
+from math import comb
 
-from .model import LEFT, RIGHT, Arrangement, Point, step_rules, validate
+from .model import LEFT, RIGHT, Arrangement, Point, step_rules
 
 KERNEL_BACKEND = "python"
 ENUM_MAX_ROWS = 24
+# C(20, 10): every listing of up to 20 rows fits.  `paths` holds every path
+# it lists; at this many, JSON output peaks at about 290 MiB.
+ENUM_MAX_PATHS = 184_756
 # A DP's time grows as rows^2: at 3000 rows on W@0;F1@1;F2@3, dp_count takes
 # about 0.2 s and one full dp_rows stream 0.4 s (2-core Xeon).
 DP_MAX_ROWS = 3000
@@ -35,9 +40,8 @@ class InvalidQuery(ValueError):
 
 
 class TooLarge(ValueError):
-    """Query refused before any work: enumeration (`enumerate_paths`,
-    `enum_weight`) above ENUM_MAX_ROWS rows or a DP (`dp_count`, `dp_rows`)
-    above DP_MAX_ROWS rows, whose time grows as the square of its rows."""
+    """Query refused before any work: enumeration above ENUM_MAX_ROWS rows
+    or ENUM_MAX_PATHS listed paths, or a DP above DP_MAX_ROWS rows."""
 
 
 @dataclass(frozen=True)
@@ -80,13 +84,18 @@ def advance_row(row: list, lo: int, cols: list, fixes: list) -> list:
     return out
 
 
+def _guarded_rules(n_rows: int, arr: Arrangement, limit: int, what: str) -> dict:
+    """The arrangement's step rules, after refusing more than `limit` rows;
+    raises TooLarge, then the arrangement's error (from `step_rules`)."""
+    if n_rows > limit:
+        raise TooLarge(f"{what} limited to {limit} rows, got {n_rows}")
+    return step_rules(arr)
+
+
 def _fixes_by_parity(n_rows: int, arr: Arrangement) -> tuple:
-    """Refuse a DP above DP_MAX_ROWS, validate, and build advance_row's
-    (cols, fixes) for the even columns and for the odd ones."""
-    if n_rows > DP_MAX_ROWS:
-        raise TooLarge(f"DP limited to {DP_MAX_ROWS} rows, got {n_rows}")
-    validate(arr)
-    rules = step_rules(arr)
+    """Guard a DP of n_rows rows and build advance_row's (cols, fixes) for
+    the even columns and for the odd ones."""
+    rules = _guarded_rules(n_rows, arr, DP_MAX_ROWS, "DP")
     by_parity = ([], []), ([], [])
     for x in sorted({x for x, _ in rules}):
         dr, dl = rules.get((x, RIGHT), 1) - 1, rules.get((x, LEFT), 1) - 1
@@ -151,46 +160,17 @@ def dp_count(q: PathQuery) -> int:
     return row[0]
 
 
-def iter_paths(q: PathQuery):
-    """Depth-first generator of allowed paths, rightward branch first."""
-    _check_query(q)
-    validate(q.arrangement)
-    rules = step_rules(q.arrangement)
-    m, n = q.end_m, q.end_n
-    prefix: list[Point] = [q.start]
-
-    def rec(x: int, y: int, w: int):
-        if abs(m - x) > n - y:
-            return
-        if y == n:
-            yield WeightedPath(tuple(prefix), w)
-            return
-        for dx in (RIGHT, LEFT):
-            sw = rules.get((x, dx), 1)
-            if sw:
-                prefix.append((x + dx, y + 1))
-                yield from rec(x + dx, y + 1, w * sw)
-                prefix.pop()
-
-    yield from rec(q.start[0], 0, 1)
-
-
 def enum_weight(q: PathQuery) -> int:
-    """Total weight of the allowed paths, walked one by one; guarded like
-    `enumerate_paths`.
+    """Total weight of the allowed paths, walked one by one.
 
-    Plain depth-first recursion over the same paths as `iter_paths`, with
-    no memo: a step is taken only if it stays in the backward cone
+    Plain depth-first recursion over the same paths as `enumerate_paths`,
+    with no memo: a step is taken only if it stays in the backward cone
     |end_m - x| <= rows left, and the last step's weight is read directly.
-    Off-parity or out-of-cone endpoints give 0.  Bad queries raise as in
-    `iter_paths` (InvalidQuery, then the arrangement's error), with
-    TooLarge checked before the arrangement.
+    Off-parity or out-of-cone endpoints give 0.  Bad calls raise as in
+    `enumerate_paths`: InvalidQuery, TooLarge, then the arrangement's error.
     """
     _check_query(q)
-    if q.end_n > ENUM_MAX_ROWS:
-        raise TooLarge(f"enumeration limited to {ENUM_MAX_ROWS} rows, got {q.end_n}")
-    validate(q.arrangement)
-    rules = step_rules(q.arrangement)
+    rules = _guarded_rules(q.end_n, q.arrangement, ENUM_MAX_ROWS, "enumeration")
     m, n, x0 = q.end_m, q.end_n, q.start[0]
     if abs(m - x0) > n or (m - x0 + n) % 2:
         return 0
@@ -213,8 +193,32 @@ def enum_weight(q: PathQuery) -> int:
 
 
 def enumerate_paths(q: PathQuery) -> list[WeightedPath]:
-    """Every allowed path with its weight; guarded like `enum_weight`."""
+    """Every allowed path with its weight, rightward branch first; guarded
+    like `enum_weight`, then refused (TooLarge) if more than ENUM_MAX_PATHS
+    unrestricted walks, an upper bound on the listing, reach the endpoint."""
     _check_query(q)
-    if q.end_n > ENUM_MAX_ROWS:
-        raise TooLarge(f"enumeration limited to {ENUM_MAX_ROWS} rows, got {q.end_n}")
-    return list(iter_paths(q))
+    rules = _guarded_rules(q.end_n, q.arrangement, ENUM_MAX_ROWS, "enumeration")
+    m, n, x0 = q.end_m, q.end_n, q.start[0]
+    if abs(m - x0) > n or (m - x0 + n) % 2:
+        return []
+    bound = comb(n, (n - abs(m - x0)) // 2)
+    if bound > ENUM_MAX_PATHS:
+        raise TooLarge(f"listing limited to {ENUM_MAX_PATHS} paths, got up to {bound}")
+    paths: list[WeightedPath] = []
+    prefix: list[Point] = [q.start]
+
+    def rec(x: int, y: int, w: int) -> None:
+        if abs(m - x) > n - y:
+            return
+        if y == n:
+            paths.append(WeightedPath(tuple(prefix), w))
+            return
+        for dx in (RIGHT, LEFT):
+            sw = rules.get((x, dx), 1)
+            if sw:
+                prefix.append((x + dx, y + 1))
+                rec(x + dx, y + 1, w * sw)
+                prefix.pop()
+
+    rec(x0, 0, 1)
+    return paths

@@ -19,7 +19,7 @@ from filterpaths.formulas import (
     wall_term,
 )
 from filterpaths.model import WeightRule, canonical_arrangement
-from filterpaths.oracle import PathQuery, dp_rows, iter_paths, row_count
+from filterpaths.oracle import PathQuery, dp_rows, enumerate_paths, row_count
 from filterpaths.verify import (
     SweepSpec,
     run_lemma_suite,
@@ -88,7 +88,7 @@ def test_criterion_3_main_theorem():
         # re-derive the anchors with the second, exhaustive oracle
         for (l, m, n), want in anchors.items():
             arr = canonical_arrangement(l, n)
-            total = sum(p.weight for p in iter_paths(PathQuery((0, 0), m, n, arr)))
+            total = sum(p.weight for p in enumerate_paths(PathQuery((0, 0), m, n, arr)))
             assert total == want, (l, m, n)
 
 

@@ -11,6 +11,7 @@ import pytest
 from filterpaths import __version__
 from filterpaths.cli import FORMULA_IDS, main
 from filterpaths.formulas import FORMULA_MAX_ROW
+from filterpaths.oracle import ENUM_MAX_PATHS
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -122,6 +123,21 @@ class TestOracle:
         assert code == 0
         assert out.strip() == "5"
 
+    def test_derives_each_restriction_once(self, capsys, monkeypatch):
+        from filterpaths import model
+
+        derive, derived = model._restriction_rules, []
+
+        def spy(r, semantics):
+            derived.append(r)
+            return derive(r, semantics)
+
+        monkeypatch.setattr(model, "_restriction_rules", spy)
+        model.step_rules.cache_clear()
+        code, out, _ = run_cli(capsys, "oracle", "--arr", "W@0;F1@2;F2@5;F2@8",
+                               "--m", "3", "--n", "9")
+        assert (code, out) == (0, "40\n")
+        assert [r.token() for r in derived] == ["W@0", "F1@2", "F2@5", "F2@8"]
 
     def test_dp_row_limit_exits_2(self, capsys):
         code, out, err = run_cli(capsys, "oracle", "--arr", "W@0", "--m", "1", "--n", "3001")
@@ -150,6 +166,18 @@ class TestPaths:
         code, _, err = run_cli(capsys, "paths", "--m", "1", "--n", "25")
         assert code == 2
         assert "25" in err
+
+    def test_listing_above_the_path_cap_exits_2_before_any_path(self, capsys, monkeypatch):
+        monkeypatch.setattr("filterpaths.oracle.WeightedPath",
+                            lambda *_: pytest.fail("a path was built"))
+        code, out, err = run_cli(capsys, "paths", "--m", "0", "--n", "24")
+        assert (code, out) == (2, "")
+        assert err == f"error: listing limited to {ENUM_MAX_PATHS} paths, got up to 2704156\n"
+
+    def test_narrow_listing_at_the_row_limit(self, capsys):
+        code, out, _ = run_cli(capsys, "paths", "--m", "20", "--n", "24")
+        assert code == 0
+        assert out.splitlines()[-1] == "paths 276  total weight 276"
 
 
 class TestCompare:
@@ -276,13 +304,26 @@ def test_module_invocation_byte_identical():
 
 def test_names_the_benchmark_reads_exist(capsys, monkeypatch):
     """perfbench/ drives every run through `cli.main`, swaps its own
-    `cli.run_theorem_suite` in for the theorem sweep, and records
-    `filterpaths.KERNEL_BACKEND` in every pass; deleting one of them must
-    fail here rather than in the benchmark."""
+    `cli.run_theorem_suite` in for the theorem sweep, records
+    `filterpaths.KERNEL_BACKEND` and `model.step_rules.cache_info()` in
+    every pass, and its tracer wraps the names below where they are
+    called; deleting one of them must fail here rather than in the
+    benchmark."""
     import filterpaths
-    from filterpaths import cli
+    from filterpaths import cli, model, oracle, verify
 
     assert filterpaths.KERNEL_BACKEND == "python"
+    assert len(model.step_rules.cache_info()) == 4
+    traced = [(oracle, "advance_row"), (oracle, "step_rules"),
+              (verify, "dp_count"), (cli, "dp_count"),
+              (verify, "formulas"), (cli, "formulas"),
+              (cli, "parse_arrangement"), (verify, "canonical_arrangement"),
+              (verify, "validate"),
+              (cli, "run_lemma_suite"), (cli, "run_theorem_suite"),
+              (cli, "run_property_suite"),
+              (verify.CompareReport, "to_json"), (verify.CompareReport, "to_csv"),
+              (verify.CompareReport, "render")]
+    assert [name for owner, name in traced if not hasattr(owner, name)] == []
     suite, captured = cli.run_theorem_suite, []
 
     def capture(spec):

@@ -1,7 +1,7 @@
 """Arrangement validation, step resolution, and the text grammar."""
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from conftest import arrangements
 from filterpaths.model import (
@@ -14,6 +14,7 @@ from filterpaths.model import (
     UnsortedAxes,
     WallInsideFilterBand,
     WeightRule,
+    _restriction_rules,
     canonical_arrangement,
     format_arrangement,
     parse_arrangement,
@@ -120,6 +121,58 @@ class TestValidate:
         a = validate(arr((W, 0), (WR, 1)))
         assert allowed(a, 0) == [(1, 1)]
         assert allowed(a, 1) == [(-1, 1)]
+
+
+def reference_validate(arr):
+    """The check as a pass of its own, before `step_rules` did it while
+    merging: the slow-path reference for its error class and message.
+    Returns the merged rules of a valid arrangement."""
+    axes = [r.axis for r in arr.restrictions]
+    for a, b in zip(axes, axes[1:]):
+        if a >= b:
+            raise UnsortedAxes(f"axes must strictly increase, got {a} before {b}")
+    claimed = {}
+    for r in arr.restrictions:
+        for key, w in _restriction_rules(r, arr.semantics).items():
+            if key in claimed and claimed[key][0] != w:
+                other = claimed[key][1]
+                wall = Kind.WALL_LEFT, Kind.WALL_RIGHT
+                if r.kind in wall or other.kind in wall:
+                    raise WallInsideFilterBand(
+                        f"{other.token()} and {r.token()} disagree on column {key[0]}"
+                    )
+                raise OverlappingRestrictions(
+                    f"{other.token()} and {r.token()} claim the same step at column {key[0]}"
+                )
+            claimed[key] = (w, r)
+    return {key: w for key, (w, _) in claimed.items()}
+
+
+@st.composite
+def any_arrangements(draw):
+    """Arrangements without the >= 2 gap, so both valid and invalid ones:
+    gaps of 1 make filters and walls meet, gaps <= 0 unsort the axes."""
+    axis, rs = draw(st.integers(-4, 4)), []
+    for kind in draw(st.lists(st.sampled_from(list(Kind)), max_size=4)):
+        rs.append(Restriction(kind, axis))
+        axis += draw(st.sampled_from((-1, 0, 1, 1, 1, 2, 2, 2, 3)))
+    return Arrangement(tuple(rs), draw(st.sampled_from(list(WeightRule))))
+
+
+def outcome(f, a):
+    try:
+        return f(a)
+    except ArrangementError as exc:
+        return type(exc), str(exc)
+
+
+class TestStepRulesChecks:
+    @given(any_arrangements())
+    @settings(max_examples=400)
+    def test_same_rules_or_error_as_the_reference(self, a):
+        want = outcome(reference_validate, a)
+        assert outcome(step_rules, a) == want
+        assert outcome(validate, a) == (a if isinstance(want, dict) else want)
 
 
 class TestCanonicalArrangement:

@@ -1,6 +1,7 @@
 """DP oracle vs exhaustive enumeration, plus oracle edge contracts."""
 
 import tracemalloc
+from math import comb
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -19,6 +20,7 @@ from filterpaths.model import (
 from filterpaths.formulas import wall_term
 from filterpaths.oracle import (
     DP_MAX_ROWS,
+    ENUM_MAX_PATHS,
     ENUM_MAX_ROWS,
     InvalidQuery,
     PathQuery,
@@ -27,7 +29,6 @@ from filterpaths.oracle import (
     dp_rows,
     enum_weight,
     enumerate_paths,
-    iter_paths,
     row_count,
 )
 
@@ -46,6 +47,12 @@ BAD_ARRANGEMENTS = [
     Arrangement((Restriction(Kind.FILTER1, 0), Restriction(Kind.FILTER2, 1))),
     Arrangement((Restriction(Kind.FILTER1, 0), Restriction(Kind.WALL_LEFT, 1))),
 ]
+
+
+@pytest.mark.parametrize("arr", BAD_ARRANGEMENTS)
+def test_step_rules_refuses_each_bad_arrangement(arr):
+    with pytest.raises(ArrangementError):
+        step_rules(arr)
 
 
 class TestDpCount:
@@ -142,6 +149,23 @@ class TestEnumeratePaths:
         paths = enumerate_paths(PathQuery((2, 0), 2, 0))
         assert len(paths) == 1 and paths[0].weight == 1 and paths[0].steps() == ""
 
+    def test_path_cap_lets_every_listing_of_20_rows_through(self):
+        assert ENUM_MAX_PATHS >= comb(20, 10)
+
+    def test_path_cap_refuses_before_building_any_path(self, monkeypatch):
+        monkeypatch.setattr("filterpaths.oracle.WeightedPath",
+                            lambda *_: pytest.fail("a path was built"))
+        # the cap bounds the unrestricted count, which restrictions only cut
+        with pytest.raises(TooLarge, match="paths"):
+            enumerate_paths(PathQuery((3, 0), 5, 24, canonical_arrangement(2, 24)))
+
+    def test_path_cap_checked_after_the_arrangement(self):
+        kind, _ = _raised(enumerate_paths, PathQuery((0, 0), 0, 24, BAD_ARRANGEMENTS[0]))
+        assert issubclass(kind, ArrangementError)
+
+    def test_off_parity_listing_is_empty_not_refused(self):
+        assert enumerate_paths(PathQuery((0, 0), 1, 24)) == []
+
 
 @st.composite
 def queries(draw):
@@ -156,7 +180,7 @@ class TestOracleProperties:
     @given(queries())
     @settings(max_examples=150, deadline=None)
     def test_dp_equals_enumeration(self, q):
-        assert dp_count(q) == sum(p.weight for p in iter_paths(q))
+        assert dp_count(q) == sum(p.weight for p in enumerate_paths(q))
 
     @given(queries(), st.integers(-7, 7))
     @settings(max_examples=150, deadline=None)
@@ -175,7 +199,7 @@ class TestOracleProperties:
     @settings(max_examples=60, deadline=None)
     def test_each_path_walks_allowed_steps(self, q):
         rules = step_rules(q.arrangement)
-        for path in iter_paths(q):
+        for path in enumerate_paths(q):
             weight = 1
             for (x, y), (nx, ny) in zip(path.points, path.points[1:]):
                 assert nx - x in (1, -1) and ny == y + 1
@@ -202,11 +226,13 @@ class TestOracleProperties:
 
 
 def _slow_weight(q):
-    return sum(p.weight for p in iter_paths(q))
+    return sum(p.weight for p in enumerate_paths(q))
 
 
 class TestEnumWeight:
-    """enum_weight against its slow-path reference, the sum over iter_paths."""
+    """enum_weight against its slow-path reference, the sum over the listing
+    `enumerate_paths` (the test ids keep the name of the generator it
+    replaced, `iter_paths`)."""
 
     @given(queries())
     @settings(max_examples=200, deadline=None)
@@ -248,7 +274,7 @@ class TestEnumWeight:
         q = PathQuery((0, 0), 0, 4, arr)
         kind, message = _raised(enum_weight, q)
         assert issubclass(kind, ArrangementError)
-        assert (kind, message) == _raised(lambda q: list(iter_paths(q)), q)
+        assert (kind, message) == _raised(enumerate_paths, q)
 
     @pytest.mark.parametrize("q", [
         PathQuery((0, 0), 0, -1),
@@ -259,7 +285,7 @@ class TestEnumWeight:
     def test_invalid_query_raises_in_iter_paths_order(self, q):
         kind, message = _raised(enum_weight, q)
         assert kind is InvalidQuery
-        assert (kind, message) == _raised(lambda q: list(iter_paths(q)), q)
+        assert (kind, message) == _raised(enumerate_paths, q)
 
     def test_depth_guard(self):
         with pytest.raises(TooLarge):
