@@ -11,6 +11,7 @@ Exit codes: 0 success, 1 mismatches found (compare only), 2 usage error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -88,11 +89,16 @@ def cmd_paths(args: argparse.Namespace) -> int:
         return _fail(str(exc))
     total = sum(p.weight for p in paths)
     if args.format == "json":
-        print(json.dumps(
-            {"paths": [{"steps": p.steps(), "weight": str(p.weight)} for p in paths],
-             "count": len(paths), "total_weight": str(total)},
-            indent=2,
-        ))
+        # json.dumps(..., indent=2) of {"paths": [{"steps", "weight"}, ...],
+        # "count", "total_weight"}, written one path at a time
+        write = sys.stdout.write
+        write('{\n  "paths": [')
+        sep = "\n"
+        for p in paths:
+            write(f'{sep}    {{\n      "steps": "{p.steps()}",\n      "weight": "{p.weight}"\n    }}')
+            sep = ",\n"
+        close = "\n  ]" if paths else "]"
+        write(f'{close},\n  "count": {len(paths)},\n  "total_weight": "{total}"\n}}\n')
     else:
         for p in paths:
             print(f"{p.steps() or '(empty)'}  weight {p.weight}")
@@ -204,7 +210,10 @@ def cmd_pq(args: argparse.Namespace) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process: parsing leaves it as it
+    was, so every `main` call shares it."""
     parser = argparse.ArgumentParser(
         prog="filterpaths",
         description="Exact counting of weighted lattice walks with one-way "

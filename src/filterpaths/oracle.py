@@ -2,11 +2,14 @@
 
 Two independent oracles: a row-by-row dynamic program in exact big-integer
 arithmetic and exhaustive enumeration for small depths.  Both DP drivers
-step parity-split rows (see `advance_row`) and keep one row at a time, so
+step parity-split rows with one kernel, `advance_row`, which applies an
+arrangement's corrections as strided slice updates over arithmetic runs of
+restricted columns (`_fixes_by_parity`), and keep one row at a time, so
 time is O(N^2) and memory O(N): `dp_count` clips its row to the light cone
-of one endpoint; `dp_rows`, for sweeps, yields every full row in turn, read
-by `row_count`, so a sweep can take row n of many streams before any row
-n + 1 is made.  Enumeration comes in two forms: `enumerate_paths` lists
+of one endpoint and drops the zero cells at its edges (the side of a wall
+no walk reaches); `dp_rows`, for sweeps, yields every full row in turn,
+read by `row_count`, so a sweep can take row n of many streams before any
+row n + 1 is made.  Enumeration comes in two forms: `enumerate_paths` lists
 every allowed path with its points and weight, and `enum_weight` walks the
 same paths depth-first without building them and returns only their total
 weight.  It memoizes nothing and never touches the DP, so it stays an
@@ -18,21 +21,23 @@ from `model.step_rules`, which hands it its rules (`_guarded_rules`).
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import accumulate, islice
 from math import comb
+from operator import add, sub
 
 from .model import LEFT, RIGHT, Arrangement, Point, step_rules
 
 KERNEL_BACKEND = "python"
 ENUM_MAX_ROWS = 24
 # C(20, 10): every listing of up to 20 rows fits.  `paths` holds every path
-# it lists; at this many, JSON output peaks at about 290 MiB.
+# it lists; at this many, it peaks at about 115 MiB, as text or JSON.
 ENUM_MAX_PATHS = 184_756
 # A DP's time grows as rows^2: at 3000 rows on W@0;F1@1;F2@3, dp_count takes
-# about 0.2 s and one full dp_rows stream 0.4 s (2-core Xeon).
+# about 0.2 s and one full dp_rows stream 0.4 s; on the periodic arrangement
+# for l = 3, 0.35 s and 0.8 s (2-core Xeon).
 DP_MAX_ROWS = 3000
+_OPS = {1: add, -1: sub}
 
 
 class InvalidQuery(ValueError):
@@ -63,24 +68,45 @@ class WeightedPath:
         return "".join("R" if b > a else "L" for a, b in zip(xs, xs[1:]))
 
 
-def advance_row(row: list, lo: int, cols: list, fixes: list) -> list:
+def advance_row(row: list, lo: int, runs: list) -> list:
     """One transfer step on a parity-split row; the DP's hot loop.
 
     row[k] counts column lo + 2k; the result counts column lo - 1 + 2j and
     is one cell longer.  A whole-row sum gives every step weight 1; then
-    each restricted column x = cols[i] (sorted, of the row's parity) in the
-    window adds its cell times fixes[i] = (x, right weight - 1, left weight
-    - 1) to its neighbours: a forbidden step takes the cell back off, a
-    weight-2 step adds it once more.  Cells are exact Python ints.
+    each run (x0, stride, count, dr, dl) of restricted columns x0 + i*stride
+    (of the row's parity, all with right weight - 1 = dr and left weight
+    - 1 = dl) is clipped to the row's window and adds its cells times dr
+    and dl to their right and left neighbours, as one strided slice update
+    each (a run clipped to one cell is updated in place): a forbidden step
+    takes the cell back off, a weight-2 step adds it once more.  Weights
+    are 0, 1 or 2, so dr and dl are -1, 0 or 1.  Cells are exact Python
+    ints.
     """
-    out = [a + b for a, b in zip([0] + row, row + [0])]
-    for i in range(bisect_left(cols, lo), bisect_left(cols, lo + 2 * len(row))):
-        x, dr, dl = fixes[i]
-        k = (x - lo) >> 1
-        v = row[k]
-        if v:
-            out[k + 1] += dr * v
-            out[k] += dl * v
+    out = [row[0], *map(add, row, islice(row, 1, None)), row[-1]]
+    last = len(row) - 1
+    for x0, stride, count, dr, dl in runs:
+        s = stride >> 1
+        a = (x0 - lo) >> 1  # the run's first and last cells, then clipped
+        b = a + (count - 1) * s
+        if a < 0:
+            a %= s
+        if b > last:
+            b = last
+        if a > b:
+            continue
+        if a == b:  # one cell: update it in place, not through a slice
+            v = row[a]
+            if dr:
+                out[a + 1] = _OPS[dr](out[a + 1], v)
+            if dl:
+                out[a] = _OPS[dl](out[a], v)
+            continue
+        b += 1
+        cells = row[a:b:s]
+        if dr:
+            out[a + 1:b + 1:s] = map(_OPS[dr], out[a + 1:b + 1:s], cells)
+        if dl:
+            out[a:b:s] = map(_OPS[dl], out[a:b:s], cells)
     return out
 
 
@@ -93,16 +119,26 @@ def _guarded_rules(n_rows: int, arr: Arrangement, limit: int, what: str) -> dict
 
 
 def _fixes_by_parity(n_rows: int, arr: Arrangement) -> tuple:
-    """Guard a DP of n_rows rows and build advance_row's (cols, fixes) for
-    the even columns and for the odd ones."""
+    """Guard a DP of n_rows rows and build advance_row's runs for the even
+    columns and for the odd ones: each parity's restricted columns grouped
+    by their (dr, dl) pair, each group split into maximal arithmetic runs
+    (x0, stride, count, dr, dl); a lone column is a run of count 1."""
     rules = _guarded_rules(n_rows, arr, DP_MAX_ROWS, "DP")
-    by_parity = ([], []), ([], [])
+    groups: dict = {}
     for x in sorted({x for x, _ in rules}):
-        dr, dl = rules.get((x, RIGHT), 1) - 1, rules.get((x, LEFT), 1) - 1
-        if dr or dl:
-            cols, fixes = by_parity[x & 1]
-            cols.append(x)
-            fixes.append((x, dr, dl))
+        fix = rules.get((x, RIGHT), 1) - 1, rules.get((x, LEFT), 1) - 1
+        if fix != (0, 0):
+            groups.setdefault((x & 1, fix), []).append(x)
+    by_parity = [], []
+    for (parity, (dr, dl)), xs in groups.items():
+        i = 0
+        while i < len(xs):
+            stride = xs[i + 1] - xs[i] if i + 1 < len(xs) else 2
+            j = i + 1
+            while j < len(xs) and xs[j] - xs[j - 1] == stride:
+                j += 1
+            by_parity[parity].append((xs[i], stride, j - i, dr, dl))
+            i = j
     return by_parity
 
 
@@ -126,7 +162,7 @@ def dp_rows(start_x: int, n_rows: int, arr: Arrangement):
         raise InvalidQuery(f"row count must be >= 0, got {n_rows}")
     by_parity = _fixes_by_parity(n_rows, arr)
     return accumulate(range(start_x, start_x - n_rows, -1),
-                      lambda row, lo: advance_row(row, lo, *by_parity[lo & 1]),
+                      lambda row, lo: advance_row(row, lo, by_parity[lo & 1]),
                       initial=[1])
 
 
@@ -141,8 +177,9 @@ def dp_count(q: PathQuery) -> int:
     """Exact weighted number of allowed paths start -> (end_m, end_n).
 
     Unreachable or parity-impossible endpoints count 0.  Streams: keeps one
-    row, clipped to the backward cone |end_m - x| <= end_n - y, so time is
-    O(n^2) and memory O(n) ints.
+    row, clipped to the backward cone |end_m - x| <= end_n - y and stripped
+    of the zero cells at its edges, so time is O(n^2) and memory O(n) ints;
+    a row with no cell left means no walk gets through, and counts 0.
     """
     _check_query(q)
     by_parity = _fixes_by_parity(q.end_n, q.arrangement)
@@ -151,12 +188,20 @@ def dp_count(q: PathQuery) -> int:
         return 0
     row = [1]
     for y in range(n):
-        row = advance_row(row, lo, *by_parity[lo & 1])
+        row = advance_row(row, lo, by_parity[lo & 1])
         lo -= 1
         reach = n - y - 1
-        cut = max(0, (m - reach - lo) // 2)
-        row = row[cut:(m + reach - lo) // 2 + 1]
-        lo += 2 * cut
+        # clip to the cone, then drop the zero cells at either edge
+        a = max(0, (m - reach - lo) // 2)
+        b = min(len(row), (m + reach - lo) // 2 + 1)
+        while a < b and not row[a]:
+            a += 1
+        while b > a and not row[b - 1]:
+            b -= 1
+        if a >= b:
+            return 0
+        row = row[a:b]
+        lo += 2 * a
     return row[0]
 
 

@@ -7,6 +7,8 @@ equality; there is no tolerance anywhere.
 
 import time
 
+import pytest
+
 from filterpaths.cli import main as cli_main
 from filterpaths.formulas import (
     _right_series,
@@ -17,9 +19,17 @@ from filterpaths.formulas import (
     pq_recurrence_check,
     strip_index,
     wall_term,
+    wall_two_filters,
 )
-from filterpaths.model import WeightRule, canonical_arrangement
-from filterpaths.oracle import PathQuery, dp_rows, enumerate_paths, row_count
+from filterpaths.model import WeightRule, canonical_arrangement, parse_arrangement
+from filterpaths.oracle import (
+    DP_MAX_ROWS,
+    PathQuery,
+    dp_count,
+    dp_rows,
+    enumerate_paths,
+    row_count,
+)
 from filterpaths.verify import (
     SweepSpec,
     run_lemma_suite,
@@ -147,3 +157,23 @@ def test_criterion_7_series_difference_identity():
                         for k in range(1, (n + l) // (2 * l) + 1)
                     )
                     assert difference == expected, (l, m, n)
+
+
+@pytest.mark.parametrize("l", [2, 3])
+@pytest.mark.parametrize("family", ["mj", "wall_two_filters"])
+def test_criterion_8_very_large_n(family, l):
+    # One endpoint at the DP's row limit: mj in strip 5 on the periodic
+    # arrangement, wall_two_filters between its filters.  Each takes about
+    # 0.1-0.5 s (2-core Xeon); the budget leaves room for a slow host.
+    n = DP_MAX_ROWS
+    with Budget(f"8 very large n, {family} l={l}", 3):
+        if family == "mj":
+            m = 4 * l
+            arr = canonical_arrangement(l, n)
+            want = multiplicity(l, m, n)
+        else:
+            m = l + l % 2
+            arr = parse_arrangement(f"W@0;F1@{l - 1};F2@{2 * l - 1}")
+            want = wall_two_filters(l, m, n)
+        assert (m + n) % 2 == 0 and want > 0
+        assert dp_count(PathQuery((0, 0), m, n, arr)) == want

@@ -9,9 +9,9 @@ from pathlib import Path
 import pytest
 
 from filterpaths import __version__
-from filterpaths.cli import FORMULA_IDS, main
+from filterpaths.cli import FORMULA_IDS, _read_query, build_parser, main
 from filterpaths.formulas import FORMULA_MAX_ROW
-from filterpaths.oracle import ENUM_MAX_PATHS
+from filterpaths.oracle import ENUM_MAX_PATHS, enumerate_paths
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -179,6 +179,36 @@ class TestPaths:
         assert code == 0
         assert out.splitlines()[-1] == "paths 276  total weight 276"
 
+    @pytest.mark.parametrize("argv", [
+        ("--m", "0", "--n", "4"),
+        ("--m", "0", "--n", "0"),  # one empty path
+        ("--m", "1", "--n", "4"),  # off parity: an empty listing
+        ("--arr", "W@0", "--m", "-2", "--n", "4"),  # every walk blocked
+        ("--arr", "W@0;F1@1;F2@3;F2@5", "--m", "3", "--n", "5", "--semantics", "literal"),
+        ("--start", "-3", "--arr", "W@0;F1@1;F2@3", "--m", "1", "--n", "10"),
+    ])
+    def test_json_is_json_dumps_of_the_listing(self, capsys, argv):
+        code, out, _ = run_cli(capsys, "paths", *argv, "--format", "json")
+        paths = enumerate_paths(_read_query(build_parser().parse_args(["paths", *argv])))
+        doc = {"paths": [{"steps": p.steps(), "weight": str(p.weight)} for p in paths],
+               "count": len(paths), "total_weight": str(sum(p.weight for p in paths))}
+        assert (code, out) == (0, json.dumps(doc, indent=2) + "\n")
+
+    def test_json_listing_peaks_near_the_text_listing(self):
+        # the JSON document is written one path at a time, so the largest
+        # listing (184,756 paths) costs about what its text form does
+        code = ("import os, resource, sys\n"
+                "from filterpaths.cli import main\n"
+                "sys.stdout = open(os.devnull, 'w')\n"
+                "main(['paths', '--m', '0', '--n', '20', '--format', sys.argv[1]])\n"
+                "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss, file=sys.__stdout__)\n")
+        env = dict(os.environ, PYTHONPATH=SRC)
+        procs = {fmt: subprocess.Popen([sys.executable, "-c", code, fmt], env=env,
+                                       stdout=subprocess.PIPE)
+                 for fmt in ("text", "json")}
+        peak = {fmt: int(p.communicate(timeout=120)[0]) for fmt, p in procs.items()}
+        assert peak["json"] < 1.1 * peak["text"], peak
+
 
 class TestCompare:
     def test_clean_run_exits_0(self, capsys):
@@ -300,6 +330,26 @@ def test_module_invocation_byte_identical():
     assert first.returncode == second.returncode == 0
     assert first.stdout == second.stdout
     assert b"value 24" in first.stdout
+
+
+def test_one_parser_serves_every_call(capsys, monkeypatch):
+    """`main` reuses one parser; a run of calls in one process prints and
+    exits as each call does in a fresh interpreter."""
+    monkeypatch.setenv("COLUMNS", "80")
+    calls = [("count", "--l", "2", "--m", "3", "--n", "7"),
+             ("count", "--l", "2", "--m", "3"),  # usage error: --n missing
+             ("oracle", "--arr", "W@0;F1@1;F2@3", "--m", "3", "--n", "7", "--format", "json"),
+             ("--help",),
+             ("count", "--l", "2", "--m", "3", "--n", "7")]
+    in_process = [run_cli(capsys, *argv) for argv in calls]
+    assert build_parser() is build_parser()
+    env = dict(os.environ, PYTHONPATH=SRC, COLUMNS="80")
+    for argv, (code, out, err) in zip(calls, in_process):
+        fresh = subprocess.run([sys.executable, "-m", "filterpaths.cli", *argv],
+                               capture_output=True, env=env)
+        assert (code, out.encode(), err.encode()) == (
+            fresh.returncode, fresh.stdout, fresh.stderr), argv
+    assert [code for code, _, _ in in_process] == [0, 2, 0, 0, 0]
 
 
 def test_names_the_benchmark_reads_exist(capsys, monkeypatch):

@@ -2,19 +2,29 @@
 full-width scatter DP they replaced."""
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, reject, settings, strategies as st
 
 from conftest import arrangements
-from filterpaths import KERNEL_BACKEND
+from filterpaths import KERNEL_BACKEND, oracle
 from filterpaths.model import (
     LEFT,
     RIGHT,
     Arrangement,
+    ArrangementError,
+    Kind,
+    Restriction,
     WeightRule,
     canonical_arrangement,
     step_rules,
 )
-from filterpaths.oracle import PathQuery, advance_row, dp_count, dp_rows, row_count
+from filterpaths.oracle import (
+    PathQuery,
+    _fixes_by_parity,
+    advance_row,
+    dp_count,
+    dp_rows,
+    row_count,
+)
 
 
 def _scatter_row(row: list, wr: bytes, wl: bytes) -> list:
@@ -72,20 +82,134 @@ def test_selected_backend_reported():
 
 def test_pure_kernel_weight_two_step():
     # columns 0 and 2; column 0 doubles its right step, column 2 its left
-    # step; the fixes at -2 and 4 lie outside the window
-    fixes = [(-2, -1, -1), (0, 1, 0), (2, 0, 1), (4, -1, -1)]
-    cols = [x for x, _, _ in fixes]
-    assert advance_row([1, 3], 0, cols, fixes) == [1, 8, 3]
+    # step; the run over -2 and 4 lies outside the window at both ends
+    runs = [(-2, 6, 2, -1, -1), (0, 2, 1, 1, 0), (2, 2, 1, 0, 1)]
+    assert advance_row([1, 3], 0, runs) == [1, 8, 3]
 
 
 def test_pure_kernel_window_grows_by_one():
     # columns -1, 1 -> -2, 0, 2: one cell longer, starting at lo - 1
-    assert advance_row([5, 7], -1, [], []) == [5, 12, 7]
-    assert advance_row([5, 7], -1, [-1], [(-1, 0, 1)]) == [10, 12, 7]
+    assert advance_row([5, 7], -1, []) == [5, 12, 7]
+    assert advance_row([5, 7], -1, [(-1, 2, 1, 0, 1)]) == [10, 12, 7]
 
 
 def test_forbidden_steps_drop_mass():
-    assert advance_row([0, 4, 0], -2, [0], [(0, -1, -1)]) == [0, 0, 0, 0]
+    assert advance_row([0, 4, 0], -2, [(0, 2, 1, -1, -1)]) == [0, 0, 0, 0]
+
+
+def test_kernel_clips_a_strided_run_to_the_window():
+    # a run on columns -3, 1, 5, 9 (every other cell of a row at lo = -1)
+    # whose first and last columns fall outside the four-cell window
+    row = [1, 10, 100, 1000]
+    whole = [1, 11, 110, 1100, 1000]
+    assert advance_row(row, -1, [(-3, 4, 4, 1, 0)]) == [1, 11, 120, 1100, 2000]
+    assert advance_row(row, -1, [(-3, 4, 4, -1, -1)]) == [1, 1, 100, 100, 0]
+    assert advance_row(row, -1, [(-7, 4, 2, 1, 1), (13, 2, 3, 1, 1)]) == whole
+    # clipped to one cell (column 1), at either end of the run
+    assert advance_row(row, -1, [(-3, 4, 2, 1, -1)]) == [1, 1, 120, 1100, 1000]
+    assert advance_row(row, -1, [(1, 8, 3, 1, -1)]) == [1, 1, 120, 1100, 1000]
+
+
+def _expand(runs_by_parity) -> list:
+    """The (x, dr, dl) fixes a DP's runs stand for, sorted by column."""
+    fixes = []
+    for parity, runs in enumerate(runs_by_parity):
+        for x0, stride, count, dr, dl in runs:
+            assert stride > 0 and stride % 2 == 0 and count >= 1
+            assert (dr, dl) != (0, 0) and {dr, dl} <= {-1, 0, 1}
+            for i in range(count):
+                assert (x0 + i * stride) & 1 == parity
+                fixes.append((x0 + i * stride, dr, dl))
+    return sorted(fixes)
+
+
+def _fixes(arr: Arrangement) -> list:
+    """Reference: every column whose step weights are not both 1, straight
+    from step_rules."""
+    rules = step_rules(arr)
+    fixes = [(x, rules.get((x, RIGHT), 1) - 1, rules.get((x, LEFT), 1) - 1)
+             for x in sorted({x for x, _ in rules})]
+    return [f for f in fixes if f[1:] != (0, 0)]
+
+
+def _assert_maximal(runs_by_parity) -> None:
+    """Each (dr, dl) group's runs, in column order, take its columns in
+    turn, and each stops where the next column breaks its stride; only a
+    group's last run can be a single column."""
+    for runs in runs_by_parity:
+        groups: dict = {}
+        for run in sorted(runs):
+            groups.setdefault(run[3:], []).append(run)
+        for group in groups.values():
+            for (x0, stride, count, _, _), nxt in zip(group, group[1:]):
+                assert count >= 2
+                assert x0 + (count - 1) * stride < nxt[0] != x0 + count * stride
+
+
+@st.composite
+def _periodic_arrangements(draw):
+    """Walls and filters on interleaved arithmetic progressions, so that
+    runs of several (dr, dl) groups overlap and singletons sit between."""
+    axes = set()
+    for _ in range(draw(st.integers(1, 3))):
+        x0, step = draw(st.integers(-20, 20)), draw(st.integers(3, 9))
+        axes.update(x0 + i * step for i in range(draw(st.integers(1, 8))))
+    axes.update(draw(st.lists(st.integers(-30, 80), max_size=4)))
+    kinds = draw(st.lists(st.sampled_from(list(Kind)), min_size=len(axes),
+                          max_size=len(axes)))
+    rs = tuple(Restriction(k, x) for k, x in zip(kinds, sorted(axes)))
+    arr = Arrangement(rs, draw(st.sampled_from(list(WeightRule))))
+    try:
+        step_rules(arr)
+    except ArrangementError:
+        reject()
+    return arr
+
+
+@given(st.one_of(arrangements(max_restrictions=8), _periodic_arrangements()))
+@settings(max_examples=300, deadline=None)
+def test_runs_expand_to_the_step_rules_fixes(arr):
+    runs = _fixes_by_parity(0, arr)
+    assert _expand(runs) == _fixes(arr)
+    _assert_maximal(runs)
+
+
+@pytest.mark.parametrize("l", [2, 3, 4, 5, 6])
+def test_canonical_runs(l):
+    arr = canonical_arrangement(l, 200)
+    runs = _fixes_by_parity(0, arr)
+    assert _expand(runs) == _fixes(arr)
+    # a few long runs per parity, not one entry per restricted column
+    assert max(len(r) for r in runs) <= 6
+    if l == 2:
+        # every F2 landing column 2k (k >= 1) doubles both steps: one run
+        assert (2, 2, 100, 1, 1) in runs[0]
+        assert (0, 2, 1, 0, -1) in runs[0]
+
+
+def test_dp_count_trims_its_row_inside_a_correction_run(monkeypatch):
+    # The wall at 0 zeroes every cell left of it, and dp_count drops those
+    # cells; later its cone clip starts the row inside the run of F2 landing
+    # columns 2, 4, ..., 60 (l = 2), which advance_row then clips.
+    arr = canonical_arrangement(2, 60)
+    assert (2, 2, 30, 1, 1) in _fixes_by_parity(0, arr)[0]
+    windows = []
+    kernel = oracle.advance_row
+
+    def spy(row, lo, runs):
+        windows.append((lo, len(row)))
+        return kernel(row, lo, runs)
+
+    monkeypatch.setattr(oracle, "advance_row", spy)
+    start, n, m = 9, 50, 21
+    lo, rows = _scatter_table(start, n, arr)
+    assert dp_count(PathQuery((start, 0), m, n, arr)) == rows[n][m - lo] > 0
+    assert len(windows) == n
+    trimmed = [lo > max(start - y, m - n + y) for y, (lo, _) in enumerate(windows)]
+    assert all(lo >= 0 for lo, _ in windows) and any(trimmed)
+    assert any(2 < lo and lo + 2 * k < 60 and lo % 2 == 0 for lo, k in windows)
+    monkeypatch.undo()
+    _assert_drivers_match_scatter(start, n, arr)
 
 
 @given(arrangements(max_restrictions=6), st.integers(-10, 10), st.integers(0, 40))
