@@ -5,9 +5,12 @@ arithmetic and exhaustive enumeration for small depths.  Both DP drivers
 step parity-split rows with one kernel, `advance_row`, which applies an
 arrangement's corrections as strided slice updates over arithmetic runs of
 restricted columns (`_fixes_by_parity`), and keep one row at a time, so
-time is O(N^2) and memory O(N): `dp_count` clips its row to the light cone
-of one endpoint and drops the zero cells at its edges (the side of a wall
-no walk reaches); `dp_rows`, for sweeps, yields every full row in turn,
+time is at most O(N^2) and memory O(N): `dp_count` clips its row to the
+light cone of one endpoint and to its live strip, the columns between the
+nearest one-way columns on either side that point away from the endpoint
+(no walk crosses back over them), and drops the zero cells at its edges
+(the side of a wall no walk reaches); between a wall and a filter its
+time is linear in N.  `dp_rows`, for sweeps, yields every full row in turn,
 read by `row_count`, so a sweep can take row n of many streams before any
 row n + 1 is made.  Enumeration comes in two forms: `enumerate_paths` lists
 every allowed path with its points and weight, and `enum_weight` walks the
@@ -33,9 +36,13 @@ ENUM_MAX_ROWS = 24
 # C(20, 10): every listing of up to 20 rows fits.  `paths` holds every path
 # it lists; at this many, it peaks at about 115 MiB, as text or JSON.
 ENUM_MAX_PATHS = 184_756
-# A DP's time grows as rows^2: at 3000 rows on W@0;F1@1;F2@3, dp_count takes
-# about 0.2 s and one full dp_rows stream 0.4 s; on the periodic arrangement
-# for l = 3, 0.35 s and 0.8 s (2-core Xeon).
+# A DP's time grows as rows^2 at worst: at 3000 rows on W@0;F1@1;F2@3,
+# dp_count to an endpoint beyond every one-way column takes 0.1-0.2 s and
+# one full dp_rows stream 0.3 s; on the periodic arrangement for l = 3,
+# dp_count at m = 1500 takes 0.2-0.3 s and a stream 0.5-0.7 s.  From the
+# origin to an endpoint between the wall and a filter, dp_count keeps a few
+# columns per row: about 0.01 s on W@0;F1@1;F2@3 and 0.02-0.03 s on the
+# periodic arrangement (2-core Xeon).
 DP_MAX_ROWS = 3000
 _OPS = {1: add, -1: sub}
 
@@ -177,23 +184,37 @@ def dp_count(q: PathQuery) -> int:
     """Exact weighted number of allowed paths start -> (end_m, end_n).
 
     Unreachable or parity-impossible endpoints count 0.  Streams: keeps one
-    row, clipped to the backward cone |end_m - x| <= end_n - y and stripped
-    of the zero cells at its edges, so time is O(n^2) and memory O(n) ints;
-    a row with no cell left means no walk gets through, and counts 0.
+    row, clipped to the backward cone |end_m - x| <= end_n - y and to the
+    live strip x_min <= x <= x_max, and stripped of the zero cells at its
+    edges; a row with no cell left means no walk gets through, and counts 0.
+    The strip ends just inside the nearest one-way column on each side of
+    end_m that points away from it: a column c > end_m whose left step is
+    forbidden (W, F1, F2) and a column c < end_m whose right step is (WR).
+    No walk from c or beyond gets back to end_m, and the strip's edge cell
+    takes nothing from c, whose step onto it has weight 0, so every kept
+    cell keeps its exact value.  Time is O(n * min(n, strip width)) and
+    memory O(n) ints; a start outside the strip counts 0.
     """
     _check_query(q)
     by_parity = _fixes_by_parity(q.end_n, q.arrangement)
     m, n, lo = q.end_m, q.end_n, q.start[0]
     if abs(m - lo) > n or (m - lo + n) % 2:
         return 0
+    rules = step_rules(q.arrangement)
+    x_max = min((x for (x, dx), w in rules.items() if not w and dx == LEFT and x > m),
+                default=m + n + 1) - 1
+    x_min = max((x for (x, dx), w in rules.items() if not w and dx == RIGHT and x < m),
+                default=m - n - 1) + 1
+    if not x_min <= lo <= x_max:
+        return 0
     row = [1]
     for y in range(n):
         row = advance_row(row, lo, by_parity[lo & 1])
         lo -= 1
         reach = n - y - 1
-        # clip to the cone, then drop the zero cells at either edge
-        a = max(0, (m - reach - lo) // 2)
-        b = min(len(row), (m + reach - lo) // 2 + 1)
+        # clip to the cone and the strip, then drop the zero cells at either edge
+        a = max(0, (max(m - reach, x_min) - lo + 1) // 2)
+        b = min(len(row), (min(m + reach, x_max) - lo) // 2 + 1)
         while a < b and not row[a]:
             a += 1
         while b > a and not row[b - 1]:

@@ -162,18 +162,20 @@ def test_criterion_7_series_difference_identity():
 @pytest.mark.parametrize("l", [2, 3])
 @pytest.mark.parametrize("family", ["mj", "wall_two_filters"])
 def test_criterion_8_very_large_n(family, l):
-    # One endpoint at the DP's row limit: mj in strip 5 on the periodic
-    # arrangement, wall_two_filters between its filters.  Each takes about
-    # 0.1-0.5 s (2-core Xeon); the budget leaves room for a slow host.
-    n = DP_MAX_ROWS
+    # Scaling probes up to the DP's row limit: mj in strip 5 on the periodic
+    # arrangement, wall_two_filters between its filters.  Both endpoints
+    # sit left of a filter, so dp_count keeps only the few columns left of
+    # it and its time is linear in n: all four n together take about
+    # 0.05 s (2-core Xeon); the budget leaves room for a slow host.
     with Budget(f"8 very large n, {family} l={l}", 3):
-        if family == "mj":
-            m = 4 * l
-            arr = canonical_arrangement(l, n)
-            want = multiplicity(l, m, n)
-        else:
-            m = l + l % 2
-            arr = parse_arrangement(f"W@0;F1@{l - 1};F2@{2 * l - 1}")
-            want = wall_two_filters(l, m, n)
-        assert (m + n) % 2 == 0 and want > 0
-        assert dp_count(PathQuery((0, 0), m, n, arr)) == want
+        for n in (500, 1000, 2000, DP_MAX_ROWS):
+            if family == "mj":
+                m = 4 * l
+                arr = canonical_arrangement(l, n)
+                want = multiplicity(l, m, n)
+            else:
+                m = l + l % 2
+                arr = parse_arrangement(f"W@0;F1@{l - 1};F2@{2 * l - 1}")
+                want = wall_two_filters(l, m, n)
+            assert (m + n) % 2 == 0 and want > 0
+            assert dp_count(PathQuery((0, 0), m, n, arr)) == want, n

@@ -6,6 +6,7 @@ from hypothesis import given, reject, settings, strategies as st
 
 from conftest import arrangements
 from filterpaths import KERNEL_BACKEND, oracle
+from filterpaths.formulas import multiplicity, wall_filter_right, wall_two_filters
 from filterpaths.model import (
     LEFT,
     RIGHT,
@@ -15,9 +16,11 @@ from filterpaths.model import (
     Restriction,
     WeightRule,
     canonical_arrangement,
+    parse_arrangement,
     step_rules,
 )
 from filterpaths.oracle import (
+    DP_MAX_ROWS,
     PathQuery,
     _fixes_by_parity,
     advance_row,
@@ -187,12 +190,8 @@ def test_canonical_runs(l):
         assert (0, 2, 1, 0, -1) in runs[0]
 
 
-def test_dp_count_trims_its_row_inside_a_correction_run(monkeypatch):
-    # The wall at 0 zeroes every cell left of it, and dp_count drops those
-    # cells; later its cone clip starts the row inside the run of F2 landing
-    # columns 2, 4, ..., 60 (l = 2), which advance_row then clips.
-    arr = canonical_arrangement(2, 60)
-    assert (2, 2, 30, 1, 1) in _fixes_by_parity(0, arr)[0]
+def _kernel_windows(monkeypatch, q: PathQuery) -> tuple:
+    """dp_count(q) and the (lo, cells) of every row it hands advance_row."""
     windows = []
     kernel = oracle.advance_row
 
@@ -201,14 +200,26 @@ def test_dp_count_trims_its_row_inside_a_correction_run(monkeypatch):
         return kernel(row, lo, runs)
 
     monkeypatch.setattr(oracle, "advance_row", spy)
+    try:
+        return dp_count(q), windows
+    finally:
+        monkeypatch.undo()
+
+
+def test_dp_count_trims_its_row_inside_a_correction_run(monkeypatch):
+    # The wall at 0 zeroes every cell left of it, and dp_count drops those
+    # cells; later its cone clip starts the row inside the run of F2 landing
+    # columns 2, 4, ..., 60 (l = 2), which advance_row then clips.
+    arr = canonical_arrangement(2, 60)
+    assert (2, 2, 30, 1, 1) in _fixes_by_parity(0, arr)[0]
     start, n, m = 9, 50, 21
     lo, rows = _scatter_table(start, n, arr)
-    assert dp_count(PathQuery((start, 0), m, n, arr)) == rows[n][m - lo] > 0
+    got, windows = _kernel_windows(monkeypatch, PathQuery((start, 0), m, n, arr))
+    assert got == rows[n][m - lo] > 0
     assert len(windows) == n
     trimmed = [lo > max(start - y, m - n + y) for y, (lo, _) in enumerate(windows)]
     assert all(lo >= 0 for lo, _ in windows) and any(trimmed)
     assert any(2 < lo and lo + 2 * k < 60 and lo % 2 == 0 for lo, k in windows)
-    monkeypatch.undo()
     _assert_drivers_match_scatter(start, n, arr)
 
 
@@ -224,3 +235,79 @@ def test_drivers_match_scatter_reference(arr, start, n):
 def test_drivers_match_scatter_reference_canonical(l, start, semantics):
     arr = Arrangement(canonical_arrangement(l, 70).restrictions, semantics)
     _assert_drivers_match_scatter(start, 60, arr)
+
+
+@st.composite
+def _barrier_cases(draw):
+    """One-way columns of every kind, 2-6 apart, and a start on, next to or
+    beyond one of them, or anywhere near the origin."""
+    kinds = draw(st.lists(st.sampled_from(list(Kind)), min_size=1, max_size=4))
+    axes = [draw(st.integers(-10, 4))]
+    for _ in kinds[1:]:
+        axes.append(axes[-1] + draw(st.integers(2, 6)))
+    arr = Arrangement(tuple(map(Restriction, kinds, axes)),
+                      draw(st.sampled_from(list(WeightRule))))
+    if draw(st.booleans()):
+        start = draw(st.sampled_from(axes)) + draw(st.integers(-2, 2))
+    else:
+        start = draw(st.integers(-14, 14))
+    return arr, start, draw(st.integers(0, 30))
+
+
+def _cut_off(arr: Arrangement, start: int, m: int) -> bool:
+    """A one-way column at or past the start, pointing away from m, sits
+    between them: every walk would have to take its forbidden step."""
+    return any(start <= r.axis < m if r.kind is Kind.WALL_RIGHT else m < r.axis <= start
+               for r in arr.restrictions)
+
+
+@given(_barrier_cases())
+@settings(max_examples=300, deadline=None)
+def test_dp_count_live_strip_matches_scatter_reference(case):
+    # dp_count clips its rows to the columns between the one-way columns
+    # around m; the full-width scatter DP clips nothing.  Endpoints on and
+    # next to every barrier put m at the strip's edge and just past it.
+    arr, start, n = case
+    lo, rows = _scatter_table(start, n, arr)
+    for m in sorted({r.axis + dm for r in arr.restrictions for dm in (-1, 0, 1)}):
+        want = rows[n][m - lo] if 0 <= m - lo < len(rows[n]) else 0
+        assert dp_count(PathQuery((start, 0), m, n, arr)) == want, m
+        if _cut_off(arr, start, m):
+            assert want == 0, m
+
+
+@pytest.mark.parametrize("periodic", [True, False])
+@pytest.mark.parametrize("l", [2, 3, 4, 5])
+def test_dp_count_between_filters_is_linear_in_n(monkeypatch, l, periodic):
+    # m strictly between two filters: the one right of m bounds the strip
+    # at x_max, and the wall at 0 (left of which no walk from the origin
+    # goes) at x_min, so no row is wider than the strip and the kernel
+    # sees O(n) cells in all, not O(n^2).
+    n = DP_MAX_ROWS
+    if periodic:
+        m, x_max = 4 * l, 5 * l - 2
+        arr, want = canonical_arrangement(l, n), multiplicity(l, 4 * l, n)
+    else:
+        m, x_max = l + l % 2, 2 * l - 2
+        arr = parse_arrangement(f"W@0;F1@{l - 1};F2@{2 * l - 1}")
+        want = wall_two_filters(l, m, n)
+    got, windows = _kernel_windows(monkeypatch, PathQuery((0, 0), m, n, arr))
+    assert got == want > 0
+    assert len(windows) == n
+    width = x_max // 2 + 1
+    assert all(lo >= 0 and lo + 2 * (k - 1) <= x_max and k <= width for lo, k in windows)
+    assert sum(k for _, k in windows) <= n * width
+
+
+@pytest.mark.parametrize("l", [3, 5])
+def test_dp_count_without_a_barrier_right_of_m_keeps_the_cone(monkeypatch, l):
+    # desire2: W@0;F1@(l-1) with m >= l - 1 has nothing one-way right of
+    # m, so row y keeps every column of its cone from the wall (or the
+    # cone's left edge) to min(y, m + n - y).  (For l = 2 the filter at 1
+    # would cut off column 0 instead.)
+    n, m = 1000, l + l % 2
+    arr = parse_arrangement(f"W@0;F1@{l - 1}")
+    got, windows = _kernel_windows(monkeypatch, PathQuery((0, 0), m, n, arr))
+    assert got == wall_filter_right(l, m, n) > 0
+    assert [(lo, lo + 2 * (k - 1)) for lo, k in windows] == [
+        (max(y & 1, m - n + y), min(y, m + n - y)) for y in range(n)]
