@@ -108,13 +108,13 @@ def cmd_paths(args: argparse.Namespace) -> int:
 
 def _parse_l_values(text: str) -> tuple[int, ...]:
     values: list[int] = []
-    for part in text.split(","):
-        part = part.strip()
-        if ".." in part:
-            lo, hi = part.split("..", 1)
-            values.extend(range(int(lo), int(hi) + 1))
-        elif part:
-            values.append(int(part))
+    for part in filter(None, map(str.strip, text.split(","))):
+        lo, dots, hi = part.partition("..")
+        try:
+            values.extend(range(int(lo), int(hi if dots else lo) + 1))
+        except ValueError:
+            raise ValueError(f"--l: bad value {part!r}: expected an integer "
+                             f"or a range such as 2..4") from None
     if not values:
         raise ValueError(f"no l values in {text!r}")
     return tuple(values)
@@ -149,16 +149,17 @@ def cmd_compare(args: argparse.Namespace) -> int:
         text = report.to_csv()
     else:
         text = report.render()
+    mismatches = report.mismatches
     if args.out:
         try:
             with open(args.out, "w") as fh:
                 fh.write(text)
         except OSError as exc:
             return _fail(f"cannot write report: {exc}")
-        print(f"cells {report.total}  mismatches {report.mismatches}  -> {args.out}")
+        print(f"cells {report.total}  mismatches {mismatches}  -> {args.out}")
     else:
         sys.stdout.write(text)
-    return 0 if report.mismatches == 0 else 1
+    return 0 if mismatches == 0 else 1
 
 
 def cmd_pq(args: argparse.Namespace) -> int:

@@ -13,10 +13,14 @@ evaluator.  A type-2 filter counts like a type-1 filter except to its
 right, so `filter2_left` and `filter2_neg` are the type-1 forms.
 
 `wall_term`, the series forms and `multiplicity` read `_row(n)`, the
-Pascal row C(n, 0..n), cached for the last n only (a sweep evaluates
-every formula on row n before row n + 1) and shared by every caller:
-never mutate it.  A series over every
-2l-th or 4l-th column is one strided slice of it (`_free_sum`).  Rows
+Pascal row C(n, 0..n).  A series over every 2l-th or 4l-th column is one
+strided slice of it (`_free_sum`).  Two forms evaluate a whole lane, every
+endpoint m of one domain piece on row n, at once: `_right_lane(l, n)` holds
+`wall_filter_right` for every m, and `_mj_lane(l, j, n)` holds
+`multiplicity` for every m of strip j >= 2.  These three caches keep their
+last entry only (a sweep evaluates every formula on row n before row
+n + 1, and a lane's endpoints one after another), and building a new row
+drops both lanes.  They hand out tuples shared by every caller.  Rows
 above `FORMULA_MAX_ROW` raise `DomainError` before one is built; `binom`,
 `count_free` and the one-image forms build no row and have no limit.
 """
@@ -25,8 +29,10 @@ from __future__ import annotations
 
 import functools
 import math
+from operator import mul, sub
 
-# Largest row `_row` builds: at 50,000 it takes 116 MiB and 0.5 s (its size grows as n^2).
+# Largest row `_row` builds: at 50,000 it takes 116 MiB and 0.3-0.5 s (its size grows as
+# n^2); the `_right_lane` read from it takes as much again, 231 MiB at the peak and 0.15 s more.
 FORMULA_MAX_ROW = 50_000
 
 
@@ -66,6 +72,8 @@ def _row(n: int) -> tuple[int, ...]:
     _require(n, 0, "row")
     if n > FORMULA_MAX_ROW:
         raise DomainError(f"row must be <= FORMULA_MAX_ROW = {FORMULA_MAX_ROW}, got {n}")
+    _right_lane.cache_clear()  # no lane of the last row outlives it
+    _mj_lane.cache_clear()
     half = [1]
     for k in range(n // 2):
         half.append(half[-1] * (n - k) // (k + 1))
@@ -170,10 +178,29 @@ def _strip1_series(l: int, m: int, n: int) -> int:
     return _free_sum(m, n, 2 * l, k0, k1) - _free_sum(m + 2, n, 2 * l, k0, k1)
 
 
+@functools.lru_cache(maxsize=1)
+def _right_lane(l: int, n: int) -> tuple[int, ...]:
+    """`_right_series(l, n - 2h, n)` for 0 <= h <= (n - l + 1)/2, one tuple per (l, n).
+
+    The series is V[h] = sum of r(h - k*l) over 0 <= k <= k1, where
+    r(h) = row[h] - row[h - 1] is `wall_term(n - 2h, n)` and
+    k1 = max(0, (n - l + 1) // 2l); so V[h] = V[h - l] + r(h) - r(h - l(k1 + 1)).
+    Here l(k1 + 1) > (n - l + 1)/2 >= h, so the window's trailing term is
+    always r(< 0) = 0 and the lane is V[h] = V[h - l] + r(h), built in place.
+    Cached for the last (l, n) only, like `_row`.
+    """
+    row = _row(n)
+    last = (n - l + 1) // 2
+    lane = [row[0], *map(sub, row[1:last + 1], row)] if last >= 0 else []  # r(0..last)
+    for h in range(l, len(lane)):
+        lane[h] += lane[h - l]
+    return tuple(lane)
+
+
 def _right_series(l: int, m: int, n: int) -> int:
-    """The right-of-filter reflection series, evaluated formally."""
-    k1 = max(0, (n - l + 1) // (2 * l))
-    return _free_sum(m, n, 2 * l, 0, k1) - _free_sum(m + 2, n, 2 * l, 0, k1)
+    """The right-of-filter reflection series at an endpoint m >= l - 1."""
+    lane = _right_lane(l, n)
+    return 0 if (n - m) % 2 or m > n else lane[(n - m) // 2]
 
 
 def wall_filter_strip1(l: int, m: int, n: int) -> int:
@@ -287,6 +314,38 @@ def strip_index(l: int, m: int) -> int:
     return (m + 1) // l + 1
 
 
+@functools.lru_cache(maxsize=1)
+def _mj_lane(l: int, j: int, n: int) -> tuple[int, ...]:
+    """`multiplicity(l, m, n)` for the columns m <= n of strip j >= 2 with m + n even.
+
+    Entry i is column (j - 1)l - 1 + (n - (j - 1)l + 1) % 2 + 2i.  Each of the
+    four image families, sum over k of c_k * wall_term(column_k, n), reads
+    row cells 2l apart from a start a(m): it is one dot product of its
+    coefficients with row[a::±2l], minus the same dot product one cell
+    over, row[a - 1::±2l].  The coefficient lists are taken once per
+    (l, j, n), with the k ranges of the images that can reach row n.
+    Cached for the last (l, j, n) only, like `_row`.
+    """
+    row = _row(n)
+    e, lo = 2 * l, (j - 1) * l - 1
+
+    def images(cs, a, step):  # sum of cs[k] * (row[a + k*step] - row[a - 1 + k*step])
+        return (sum(map(mul, cs, row[a::step] if a >= 0 else ()))
+                - sum(map(mul, cs, row[a - 1::step] if a >= 1 else ())))
+
+    p = [poly_p(j, k) for k in range((n - (j - 1) * l + 1) // (4 * l) + 1)]
+    q = [poly_q(j, k) for k in range((n - (j + 1) * l + 1) // (4 * l) + 1)]
+    # n >= (j - 1)l - 1 for any column of the strip, so both prefix lengths are >= 0
+    p_left, q_left = p[:(n - j * l) // (4 * l) + 1], q[:(n - (j + 2) * l) // (4 * l) + 1]
+    lane = []
+    for m in range(lo + (n - lo) % 2, min(j * l - 2, n) + 1, 2):
+        h = (n - m) // 2  # images right of m read the row downwards from h, left ones upwards
+        total = (images(p, h, -e) + images(p_left, h + j * l, e)
+                 - images(q, h - l, -e) - images(q_left, h + (j + 1) * l, e))
+        lane.append(2 ** (j - 2) * total)
+    return tuple(lane)
+
+
 def multiplicity(l: int, m: int, n: int) -> int:
     """Weighted walks from the origin to (m, n) in the periodic arrangement.
 
@@ -302,10 +361,4 @@ def multiplicity(l: int, m: int, n: int) -> int:
         raise DomainError(f"column {m} unreachable by row {n}")
     if j == 1:
         return wall_filter_strip1(l, m, n)
-    total = 0
-    for s, sign, poly in ((0, 1, poly_p), (1, -1, poly_q)):  # each: images right, then left
-        for k in range(0, (n - (j - 1 + 2 * s) * l + 1) // (4 * l) + 1):
-            total += sign * poly(j, k) * wall_term(m + 2 * s * l + 4 * k * l, n)
-        for k in range(0, (n - (j + 2 * s) * l) // (4 * l) + 1):
-            total += sign * poly(j, k) * wall_term(m - 4 * k * l - 2 * (j + s) * l, n)
-    return 2 ** (j - 2) * total
+    return _mj_lane(l, j, n)[(m - (j - 1) * l + 1) // 2]

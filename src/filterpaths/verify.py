@@ -14,7 +14,7 @@ import random
 from dataclasses import dataclass, field
 from itertools import groupby
 from operator import attrgetter
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from . import formulas
 from .model import (
@@ -53,8 +53,7 @@ class SweepSpec:
         return self
 
 
-@dataclass(frozen=True)
-class Cell:
+class Cell(NamedTuple):
     formula_id: str
     parameters: tuple[tuple[str, int], ...]
     formula_value: int
@@ -130,14 +129,15 @@ class CompareReport:
         return "\n".join(lines) + "\n"
 
     def render(self, max_mismatches: int = 20) -> str:
-        lines = [f"cells: {self.total}   mismatches: {self.mismatches}"]
-        for c in self.mismatch_cells()[:max_mismatches]:
+        bad = self.mismatch_cells()
+        lines = [f"cells: {self.total}   mismatches: {len(bad)}"]
+        for c in bad[:max_mismatches]:
             params = " ".join(f"{k}={v}" for k, v in c.parameters)
             lines.append(
                 f"  MISMATCH {c.formula_id} [{params}] "
                 f"formula={c.formula_value} oracle={c.oracle_value}"
             )
-        rest = self.mismatches - max_mismatches
+        rest = len(bad) - max_mismatches
         if rest > 0:
             lines.append(f"  ... and {rest} more")
         return "\n".join(lines) + "\n"
@@ -158,7 +158,9 @@ class Formula:
     Per grid value g (of `grid`: "d", "l", or "" for none) and start index
     i (of `index`, if any), the DP runs from column `start(g, i)` under
     `restrictions(spec, g)` and row n's endpoints span `m_range(spec, g, n)`.
-    `value(f, **params)` evaluates the closed form via the module f.
+    `value(f, *fixed, m, n)` evaluates the closed form via the module f,
+    where fixed is (i, g) with the absent ones left out, the order of a
+    cell's parameters.
     """
 
     id: str
@@ -233,7 +235,9 @@ def _sweep(spec: SweepSpec, rows: tuple[Formula, ...]) -> CompareReport:
     start and arrangement read one `dp_rows` stream.  n is the outer loop:
     row n of every stream is taken, then every lane's cells on row n are
     made, so each stream holds one row and the closed forms build each
-    Pascal row once.  The lanes' cells are joined in table order.
+    Pascal row once, and a lane's cells on row n are one list
+    comprehension with positional calls.  The lanes' cells are joined in
+    table order.
     """
     spec.check()
     lanes, stream_of = [], {}
@@ -245,16 +249,16 @@ def _sweep(spec: SweepSpec, rows: tuple[Formula, ...]) -> CompareReport:
                 for i in _values(spec, row.index):
                     start = row.start(g, i)
                     s = stream_of.setdefault((start, arr), len(stream_of))
-                    fixed = {k: v for k, v in ((row.index, i), (grid, g)) if k}
-                    lanes.append((row, g, fixed, start, s, []))
+                    fixed = tuple((k, v) for k, v in ((row.index, i), (grid, g)) if k)
+                    lanes.append((row, g, fixed, tuple(v for _, v in fixed), start, s, []))
     streams = [dp_rows(start, spec.n_max, arr) for start, arr in stream_of]
     for n, dp in enumerate(zip(*streams)):
-        for row, g, fixed, start, s, cells in lanes:
+        for row, g, fixed, values, start, s, cells in lanes:
             lo, hi = row.m_range(spec, g, n)
-            for m in range(lo + (n - lo) % 2, hi + 1, 2):
-                params = dict(fixed, m=m, n=n)
-                cells.append(Cell(row.id, tuple(params.items()),
-                                  row.value(formulas, **params), row_count(dp[s], start, m)))
+            counts, value, fid = dp[s], row.value, row.id
+            cells += [Cell(fid, (*fixed, ("m", m), ("n", n)), value(formulas, *values, m, n),
+                           row_count(counts, start, m))
+                      for m in range(lo + (n - lo) % 2, hi + 1, 2)]
     report = CompareReport()
     for *_, cells in lanes:
         report.cells += cells

@@ -251,6 +251,15 @@ class TestCompare:
         assert out == ""
         assert err.startswith(f"error: {message}")
 
+    @pytest.mark.parametrize("text, bad", [("2..", "2.."), ("abc", "abc"), ("2, 3..x", "3..x")])
+    def test_unparsable_l_names_the_flag_and_the_value(self, capsys, monkeypatch, text, bad):
+        monkeypatch.setattr("filterpaths.cli.run_lemma_suite", pytest.fail)
+        code, out, err = run_cli(capsys, "compare", "--l", text)
+        assert code == 2
+        assert out == ""
+        assert err == (f"error: --l: bad value {bad!r}: expected an integer "
+                       f"or a range such as 2..4\n")
+
     def test_family_dropping_spec_exits_2(self, capsys):
         code, out, err = run_cli(
             capsys, "compare", "--suite", "theorems", "--n-max", "8",

@@ -13,7 +13,7 @@ import tracemalloc
 import types
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from filterpaths import formulas
 from filterpaths.formulas import (
@@ -238,16 +238,29 @@ def test_rows_above_the_limit_are_refused_before_building(name):
     assert peak < 2**20
 
 
-def test_large_row_memory_stays_small():
-    formulas._row.cache_clear()
+def _cold_peak(fn, *args):
+    """fn(*args) and the peak bytes it allocates, with every row cache empty."""
+    for cache in (formulas._row, formulas._right_lane, formulas._mj_lane):
+        cache.cache_clear()
     tracemalloc.start()
     try:
-        value = wall_filter_right(2, 2, 10000)
+        value = fn(*args)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    return value, peak
+
+
+def test_large_row_memory_stays_small():
+    value, peak = _cold_peak(wall_filter_right, 2, 2, 10000)
     assert value > 0
     assert peak < 16 * 2**20
+
+
+def test_large_row_multiplicity_memory_stays_small():
+    value, peak = _cold_peak(multiplicity, 2, 9, 10001)
+    assert value > 0
+    assert peak < 8 * 2**20
 
 
 class TestPolyFamilies:
@@ -448,6 +461,10 @@ def _ref_multiplicity(l, m, n):
     return 2 ** (j - 2) * total
 
 
+def _no_lane(*args):
+    raise AssertionError(f"the slow path read a lane {args}")
+
+
 def _reference_module():
     spec = importlib.util.spec_from_file_location("_formulas_reference", formulas.__file__)
     ref = importlib.util.module_from_spec(spec)
@@ -457,6 +474,7 @@ def _reference_module():
                _ref__two_filter_series, _ref_wall_two_filters, _ref__poly, _ref_multiplicity):
         name = fn.__name__.removeprefix("_ref_")
         setattr(ref, name, types.FunctionType(fn.__code__, vars(ref), name, fn.__defaults__))
+    ref._right_lane = ref._mj_lane = _no_lane  # the slow path must not read a lane
     return ref
 
 
@@ -543,6 +561,32 @@ def test_matches_slow_path_on_random_rows(name, small, m, n):
 ])
 def test_matches_slow_path_at_large_rows(name, small, m):
     assert _differences(name, [_args(name, small, m, n) for n in (2000, 2001)]) == []
+
+
+# One call: which lane reader, indices into the example's l and n pools, m, a
+# strip, and whether m is moved onto n's parity.
+LANE_CALL = st.tuples(st.sampled_from(("wall_filter_right", "multiplicity")),
+                      st.integers(0, 2), st.integers(0, 2), st.integers(-3, 420),
+                      st.integers(0, 9), st.booleans())
+LARGE_ROWS = [("wall_filter_right", 0, 0, 2, 0, True), ("multiplicity", 1, 0, 0, 2, True),
+              ("wall_filter_right", 1, 0, 2, 0, True), ("multiplicity", 0, 1, 1, 2, True),
+              ("wall_filter_right", 0, 1, 300, 0, True), ("multiplicity", 0, 0, 1, 3, True),
+              ("wall_filter_right", 0, 0, 1999, 0, False), ("multiplicity", 1, 1, 2, 3, True)]
+
+
+@given(st.lists(st.integers(1, 7), min_size=2, max_size=3),
+       st.lists(st.integers(-2, 400), min_size=1, max_size=3),
+       st.lists(LANE_CALL, min_size=2, max_size=20))
+@example([2, 3], [2000, 2001], LARGE_ROWS)
+@settings(max_examples=150, deadline=None)
+def test_lanes_match_the_slow_path_in_any_call_order(ls, ns, calls):
+    """Interleaved (l, n): a one-entry lane cache must never answer for another key."""
+    for name, li, ni, m, strip, on_parity in calls:
+        l, n = ls[li % len(ls)], ns[ni % len(ns)]
+        if name == "multiplicity":  # m in the strip, or one past it: two l share strips
+            m = (strip - 1) * l - 1 + m % (l + 1)
+        m += on_parity * ((n - m) % 2)
+        assert _differences(name, [(l, m, n)]) == []
 
 
 @given(st.integers(-30, 30), st.integers(0, 40), st.integers(-6, 6).filter(bool),

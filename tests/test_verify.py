@@ -1,5 +1,6 @@
 """Sweep harness: clean runs, the literal-mode negative control, reports."""
 
+import functools
 import hashlib
 import json
 
@@ -220,3 +221,35 @@ class TestFormulaTable:
         report.extend(run_theorem_suite(spec))
         assert (report.total, report.mismatches) == (2768, mismatches)
         assert hashlib.sha256(report.to_json().encode()).hexdigest() == digest
+
+    def test_each_lane_built_once(self, monkeypatch):
+        """The sweep builds each desire2 lane (l, n) and mj lane (l, j, n) once."""
+        built = {"_right_lane": [], "_mj_lane": []}
+
+        def counting(name):
+            build = getattr(formulas, name).__wrapped__
+
+            def spy(*key):
+                built[name].append(key)
+                return build(*key)
+            return functools.lru_cache(maxsize=1)(spy)
+
+        for name in built:
+            monkeypatch.setattr(formulas, name, counting(name))
+        cells = run_theorem_suite(SweepSpec()).cells
+        at = [(c.formula_id, dict(c.parameters)) for c in cells]
+        right = {(p["l"], p["n"]) for fid, p in at if fid == "desire2"}
+        strips = {(p["l"], formulas.strip_index(p["l"], p["m"]), p["n"])
+                  for fid, p in at if fid == "mj"}
+        assert sorted(built["_right_lane"]) == sorted(right)
+        assert sorted(built["_mj_lane"]) == sorted(s for s in strips if s[1] >= 2)
+
+    def test_theorem_sweep_cells_golden(self):
+        """The theorem-sweep benchmark's pass, cell for cell, against its stored digest."""
+        cells = run_theorem_suite(SweepSpec(n_max=200)).cells
+        h = hashlib.sha256()
+        for fid, params, fv, ov in cells:
+            ps = ",".join(f"{k}={v}" for k, v in params)
+            h.update(f"{fid}\t{ps}\t{fv}\t{ov}\n".encode())
+        assert len(cells) == 60977
+        assert h.hexdigest() == "42232b4c16ca415e656e615927ddfa109d2bf5a218e4ad00826708849728ccf1"
