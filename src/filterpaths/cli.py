@@ -278,7 +278,17 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         # argparse exits 2 on usage errors and 0 on --help; keep its code
         return int(exc.code or 0)
-    return args.func(args)
+    # A count can run past int-to-str's digit limit (4300 digits by default,
+    # Python 3.10.7 on): lift it while the command runs, then give the
+    # caller back its own.
+    if not hasattr(sys, "set_int_max_str_digits"):
+        return args.func(args)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return args.func(args)
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def entry() -> None:

@@ -13,12 +13,14 @@ nearest one-way columns on either side that point away from the endpoint
 time is linear in N.  `dp_rows`, for sweeps, yields every full row in turn,
 read by `row_count`, so a sweep can take row n of many streams before any
 row n + 1 is made.  Enumeration comes in two forms: `enumerate_paths` lists
-every allowed path with its points and weight, and `enum_weight` walks the
-same paths depth-first without building them and returns only their total
-weight.  It memoizes nothing and never touches the DP, so it stays an
-independent check of it.  Every oracle refuses a bad call before any work,
-in one order: a bad query, its row limit, then the arrangement's error
-from `model.step_rules`, which hands it its rules (`_guarded_rules`).
+every allowed path with its points and weight, and `enum_weight` returns
+only their total weight, met in the middle: it walks every prefix to the
+middle row and sums their weights by column there, then walks every suffix
+back from the endpoint and weighs it by the prefix sum at its column.  It
+never calls the DP, so it stays an independent check of it.
+Every oracle refuses a bad call before any work, in one order: a bad
+query, its row limit, then the arrangement's error from
+`model.step_rules`, which hands it its rules (`_guarded_rules`).
 `enumerate_paths`, the one lister, also refuses over ENUM_MAX_PATHS paths.
 """
 
@@ -227,13 +229,18 @@ def dp_count(q: PathQuery) -> int:
 
 
 def enum_weight(q: PathQuery) -> int:
-    """Total weight of the allowed paths, walked one by one.
+    """Total weight of the allowed paths, enumerated by meet in the middle.
 
-    Plain depth-first recursion over the same paths as `enumerate_paths`,
-    with no memo: a step is taken only if it stays in the backward cone
-    |end_m - x| <= rows left, and the last step's weight is read directly.
-    Off-parity or out-of-cone endpoints give 0.  Bad calls raise as in
-    `enumerate_paths`: InvalidQuery, TooLarge, then the arrangement's error.
+    Every prefix from the start to row h = end_n // 2 is walked inside the
+    backward cone |end_m - x| <= rows left, and the prefix weights are summed
+    by their column on row h.  Every suffix is walked back from the endpoint
+    to row h inside the forward cone |x - start| <= y; a step from p to x
+    weighs rules[(p, x - p)], as it is taken.  Each path is one (prefix,
+    suffix) pair, so the total is the sum over suffixes of their weight
+    times the prefix sum at their column: about 2 * 2^(n/2) half-paths
+    walked, not 2^n paths.  It never calls the DP.  Off-parity or
+    out-of-cone endpoints give 0.  Bad calls raise as in `enumerate_paths`:
+    InvalidQuery, TooLarge, then the arrangement's error.
     """
     _check_query(q)
     rules = _guarded_rules(q.end_n, q.arrangement, ENUM_MAX_ROWS, "enumeration")
@@ -242,20 +249,19 @@ def enum_weight(q: PathQuery) -> int:
         return 0
     if n == 0:
         return 1
-
-    def rec(x: int, left: int) -> int:
-        if left == 1:
-            return rules.get((x, m - x), 1)
-        left -= 1
-        total = 0
-        for dx in (RIGHT, LEFT):
-            if abs(m - x - dx) <= left:
-                w = rules.get((x, dx), 1)
-                if w:
-                    total += w * rec(x + dx, left)
-        return total
-
-    return rec(x0, n)
+    h = n // 2
+    prefixes = [(x0, 1)]  # (column, weight), one entry per prefix
+    for y in range(1, h + 1):
+        prefixes = [(x + dx, w * s) for x, w in prefixes for dx in (RIGHT, LEFT)
+                    if abs(m - x - dx) <= n - y and (s := rules.get((x, dx), 1))]
+    at_h: dict = {}
+    for x, w in prefixes:
+        at_h[x] = at_h.get(x, 0) + w
+    suffixes = [(m, 1)]
+    for y in range(n - 1, h - 1, -1):
+        suffixes = [(x - dx, w * s) for x, w in suffixes for dx in (RIGHT, LEFT)
+                    if abs(x - dx - x0) <= y and (s := rules.get((x - dx, dx), 1))]
+    return sum(w * at_h.get(x, 0) for x, w in suffixes)
 
 
 def enumerate_paths(q: PathQuery) -> list[WeightedPath]:

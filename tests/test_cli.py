@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from filterpaths import __version__
+from filterpaths import __version__, formulas
 from filterpaths.cli import FORMULA_IDS, _read_query, build_parser, main
 from filterpaths.formulas import FORMULA_MAX_ROW
 from filterpaths.oracle import ENUM_MAX_PATHS, enumerate_paths
@@ -81,6 +81,22 @@ class TestCount:
             capsys, "count", "--l", "2", "--m", "2", "--n", str(n), "--formula", "desire2")
         assert (code, out) == (2, "")
         assert err == f"error: row must be <= FORMULA_MAX_ROW = {FORMULA_MAX_ROW}, got {n}\n"
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_value_past_int_str_digit_limit(self, capsys, fmt):
+        limit = sys.get_int_max_str_digits()
+        try:
+            sys.set_int_max_str_digits(0)
+            expected = str(formulas.wall_filter_right(2, 2, 20000))
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert len(expected) > 4300
+        code, out, err = run_cli(capsys, "count", "--l", "2", "--m", "2", "--n", "20000",
+                                 "--formula", "desire2", "--format", fmt)
+        assert (code, err) == (0, "")
+        value = json.loads(out)["value"] if fmt == "json" else out.splitlines()[0]
+        assert value == (expected if fmt == "json" else f"value {expected}")
+        assert sys.get_int_max_str_digits() == limit
 
     def test_formula_choices(self, capsys):
         assert FORMULA_IDS == ("auto", "desire1", "desire2", "th3", "th4", "mj")

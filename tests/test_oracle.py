@@ -1,5 +1,6 @@
 """DP oracle vs exhaustive enumeration, plus oracle edge contracts."""
 
+import time
 import tracemalloc
 from math import comb
 
@@ -16,7 +17,9 @@ from filterpaths.model import (
     canonical_arrangement,
     parse_arrangement,
     step_rules,
+    validate,
 )
+from filterpaths import oracle
 from filterpaths.formulas import wall_term
 from filterpaths.oracle import (
     DP_MAX_ROWS,
@@ -229,6 +232,28 @@ def _slow_weight(q):
     return sum(p.weight for p in enumerate_paths(q))
 
 
+@st.composite
+def meeting_queries(draw):
+    """A query of up to 20 rows with a one-way column on, or next to, a
+    column of the middle row n // 2 that a path from the start to the
+    endpoint can cross: where `enum_weight` joins prefixes to suffixes."""
+    start = draw(st.integers(-4, 4))
+    n = draw(st.integers(1, 20))
+    # endpoints off the centre keep the slow listing short at the deepest rows
+    k = draw(st.integers(0, n).filter(lambda k: comb(n, k) <= 20_000))
+    m, h = start + n - 2 * k, n // 2
+    lo, hi = max(start - h, m - n + h), min(start + h, m + n - h)
+    middle = lo + 2 * draw(st.integers(0, (hi - lo) // 2)) + draw(st.integers(-1, 1))
+    count = draw(st.integers(1, 3))
+    gaps = [draw(st.integers(2, 4)) for _ in range(count - 1)]
+    first = middle - sum(gaps[:draw(st.integers(0, count - 1))])
+    axes = [first + sum(gaps[:i]) for i in range(count)]
+    kinds = [draw(st.sampled_from(list(Kind))) for _ in axes]
+    arr = validate(Arrangement(tuple(map(Restriction, kinds, axes)),
+                               draw(st.sampled_from(list(WeightRule)))))
+    return PathQuery((start, 0), m, n, arr)
+
+
 class TestEnumWeight:
     """enum_weight against its slow-path reference, the sum over the listing
     `enumerate_paths` (the test ids keep the name of the generator it
@@ -237,6 +262,11 @@ class TestEnumWeight:
     @given(queries())
     @settings(max_examples=200, deadline=None)
     def test_equals_sum_over_iter_paths(self, q):
+        assert enum_weight(q) == _slow_weight(q)
+
+    @given(meeting_queries())
+    @settings(max_examples=150, deadline=None)
+    def test_equals_slow_weight_with_one_way_columns_at_the_middle_row(self, q):
         assert enum_weight(q) == _slow_weight(q)
 
     @pytest.mark.parametrize("arr", [
@@ -268,6 +298,20 @@ class TestEnumWeight:
         assert enum_weight(PathQuery((0, 0), 2, 4, F2_AT_1_LITERAL)) == 12
         assert enum_weight(PathQuery((0, 0), 2, 4, F2_AT_1)) == 8
         assert enum_weight(PathQuery((0, 0), 3, 5, canonical_arrangement(2, 5))) == 8
+
+    def test_known_weights_without_the_dp(self, monkeypatch):
+        def refuse(*_):
+            raise AssertionError("enumeration called into the DP")
+
+        for name in ("advance_row", "dp_rows", "dp_count"):
+            monkeypatch.setattr(oracle, name, refuse)
+        self.test_known_weights()
+
+    def test_deepest_rows_within_budget(self):
+        t0 = time.perf_counter()
+        n = ENUM_MAX_ROWS
+        assert enum_weight(PathQuery((0, 0), 0, n)) == comb(n, n // 2)
+        assert time.perf_counter() - t0 < 0.5
 
     @pytest.mark.parametrize("arr", BAD_ARRANGEMENTS)
     def test_invalid_arrangement_raises_like_iter_paths(self, arr):

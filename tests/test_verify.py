@@ -16,6 +16,17 @@ from filterpaths.verify import (
     run_theorem_suite,
 )
 
+
+def _cells_digest(cells) -> str:
+    """sha256 over the cells' (formula_id, parameters, formula_value,
+    oracle_value) rows, as the benchmark digests a sweep."""
+    h = hashlib.sha256()
+    for fid, params, fv, ov in cells:
+        ps = ",".join(f"{k}={v}" for k, v in params)
+        h.update(f"{fid}\t{ps}\t{fv}\t{ov}\n".encode())
+    return h.hexdigest()
+
+
 SMALL = SweepSpec(l_values=(2, 3), n_max=12, d_max=2, strips_max=3, a_max=1, b_max=1)
 
 
@@ -247,9 +258,19 @@ class TestFormulaTable:
     def test_theorem_sweep_cells_golden(self):
         """The theorem-sweep benchmark's pass, cell for cell, against its stored digest."""
         cells = run_theorem_suite(SweepSpec(n_max=200)).cells
-        h = hashlib.sha256()
-        for fid, params, fv, ov in cells:
-            ps = ",".join(f"{k}={v}" for k, v in params)
-            h.update(f"{fid}\t{ps}\t{fv}\t{ov}\n".encode())
         assert len(cells) == 60977
-        assert h.hexdigest() == "42232b4c16ca415e656e615927ddfa109d2bf5a218e4ad00826708849728ccf1"
+        assert _cells_digest(cells) == "42232b4c16ca415e656e615927ddfa109d2bf5a218e4ad00826708849728ccf1"
+
+    @pytest.mark.parametrize("seed, digest", [
+        (0, "ec5d22ccd26d744d41c71ce5c0eece69c9bf9437f422c87711e905cdb370f82a"),
+        (508, "d509d16821a355b7b622acaf6d770b2d16b818d125c3d94974824ab12b6e6bbb"),
+    ])
+    def test_compare_sweep_cells_golden(self, seed, digest):
+        """The compare-sweep benchmark's pass for two property seeds, cell for
+        cell, against its stored digest; the property cells' oracle values
+        come from `enum_weight`."""
+        report = run_lemma_suite(SweepSpec())
+        report.extend(run_theorem_suite(SweepSpec()))
+        report.extend(run_property_suite(seed, 100))
+        assert len(report.cells) == 39818
+        assert _cells_digest(report.cells) == digest
