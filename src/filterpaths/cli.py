@@ -133,7 +133,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
             a_max=args.a_max,
             b_max=args.b_max,
             semantics=WeightRule(args.semantics),
-        ).check()
+        )
     except ValueError as exc:
         return _fail(str(exc))
     suites = ("lemmas", "theorems", "properties") if args.suite == "all" else (args.suite,)

@@ -6,11 +6,11 @@ including negative values of `wall_term`; both conventions are load
 bearing for the alternating sums.
 
 Conventions shared by all counting functions: walks start at (0, 0)
-(except where a start offset is an explicit argument), end at column m on
-row n, and a count of 0 is returned for parity-impossible endpoints
-rather than an error.  A negative row n raises `DomainError` in every
-evaluator.  A type-2 filter counts like a type-1 filter except to its
-right, so `filter2_left` and `filter2_neg` are the type-1 forms.
+(except where a start offset is an explicit argument) and end at column m
+on row n; a parity-impossible endpoint counts 0, but `multiplicity` raises
+`DomainError` there and for m > n.  A negative row n raises `DomainError`
+in every evaluator.  A type-2 filter counts like a type-1 filter except
+to its right, so `filter2_left` and `filter2_neg` are the type-1 forms.
 
 `wall_term`, the series forms and `multiplicity` read `_row(n)`, the
 Pascal row C(n, 0..n).  A series over every 2l-th or 4l-th column is one

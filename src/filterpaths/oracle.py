@@ -6,13 +6,13 @@ step parity-split rows with one kernel, `advance_row`, which applies an
 arrangement's corrections as strided slice updates over arithmetic runs of
 restricted columns (`_fixes_by_parity`), and keep one row at a time, so
 time is at most O(N^2) and memory O(N): `dp_count` clips its row to the
-light cone of one endpoint and to its live strip, the columns between the
-nearest one-way columns on either side that point away from the endpoint
-(no walk crosses back over them), and drops the zero cells at its edges
-(the side of a wall no walk reaches); between a wall and a filter its
-time is linear in N.  `dp_rows`, for sweeps, yields every full row in turn,
-read by `row_count`, so a sweep can take row n of many streams before any
-row n + 1 is made.  Enumeration comes in two forms: `enumerate_paths` lists
+light cone of one endpoint and to a window fixed before the first row: no
+walk crosses back over a one-way column, so the window stops at the
+nearest one on each side that points away from the endpoint or that the
+start cannot pass; between a wall and a filter its time is linear in N.
+`dp_rows`, for sweeps, yields every full row in turn, read by
+`row_count`, so a sweep can take row n of many streams before any row
+n + 1 is made.  Enumeration comes in two forms: `enumerate_paths` lists
 every allowed path with its points and weight, and `enum_weight` returns
 only their total weight, met in the middle: it walks every prefix to the
 middle row and sums their weights by column there, then walks every suffix
@@ -186,41 +186,39 @@ def dp_count(q: PathQuery) -> int:
     """Exact weighted number of allowed paths start -> (end_m, end_n).
 
     Unreachable or parity-impossible endpoints count 0.  Streams: keeps one
-    row, clipped to the backward cone |end_m - x| <= end_n - y and to the
-    live strip x_min <= x <= x_max, and stripped of the zero cells at its
-    edges; a row with no cell left means no walk gets through, and counts 0.
-    The strip ends just inside the nearest one-way column on each side of
-    end_m that points away from it: a column c > end_m whose left step is
-    forbidden (W, F1, F2) and a column c < end_m whose right step is (WR).
-    No walk from c or beyond gets back to end_m, and the strip's edge cell
-    takes nothing from c, whose step onto it has weight 0, so every kept
-    cell keeps its exact value.  Time is O(n * min(n, strip width)) and
-    memory O(n) ints; a start outside the strip counts 0.
+    row, clipped to the backward cone |end_m - x| <= end_n - y and to a
+    window x_min <= x <= x_max fixed before the first row; a row with no
+    cell left means no walk gets through, and counts 0.  Each one-way
+    column c bounds the window on the side its forbidden step points to.
+    Past end_m (c > end_m whose left step is forbidden: W, F1, F2; c < end_m
+    whose right step is: WR), the window ends just inside c: no walk from c
+    or beyond gets back to end_m, and the edge cell takes nothing from c,
+    whose step onto it has weight 0.  At or behind the start (a forbidden
+    left step at c <= start, a forbidden right step at c >= start), it ends
+    at c: no walk from the start gets past c, so every cell beyond is 0.
+    Either way every kept cell keeps its exact value.  Time is
+    O(n * min(n, window width)) and memory O(n) ints; a start outside the
+    window counts 0.
     """
     _check_query(q)
     by_parity = _fixes_by_parity(q.end_n, q.arrangement)
     m, n, lo = q.end_m, q.end_n, q.start[0]
     if abs(m - lo) > n or (m - lo + n) % 2:
         return 0
-    rules = step_rules(q.arrangement)
-    x_max = min((x for (x, dx), w in rules.items() if not w and dx == LEFT and x > m),
-                default=m + n + 1) - 1
-    x_min = max((x for (x, dx), w in rules.items() if not w and dx == RIGHT and x < m),
-                default=m - n - 1) + 1
+    blocked = [(x, dx) for (x, dx), w in step_rules(q.arrangement).items() if not w]
+    x_min = max([m - n] + [x + 1 for x, dx in blocked if dx == RIGHT and x < m]
+                + [x for x, dx in blocked if dx == LEFT and x <= lo])
+    x_max = min([m + n] + [x - 1 for x, dx in blocked if dx == LEFT and x > m]
+                + [x for x, dx in blocked if dx == RIGHT and x >= lo])
     if not x_min <= lo <= x_max:
         return 0
     row = [1]
     for y in range(n):
         row = advance_row(row, lo, by_parity[lo & 1])
         lo -= 1
-        reach = n - y - 1
-        # clip to the cone and the strip, then drop the zero cells at either edge
+        reach = n - y - 1  # clip to the cone and the window
         a = max(0, (max(m - reach, x_min) - lo + 1) // 2)
         b = min(len(row), (min(m + reach, x_max) - lo) // 2 + 1)
-        while a < b and not row[a]:
-            a += 1
-        while b > a and not row[b - 1]:
-            b -= 1
         if a >= b:
             return 0
         row = row[a:b]

@@ -27,6 +27,8 @@ from .model import (
 )
 from .oracle import DP_MAX_ROWS, ENUM_MAX_ROWS, PathQuery, dp_count, dp_rows, enum_weight, row_count
 
+RENDER_MAX_MISMATCHES = 20  # mismatch lines `CompareReport.render` lists before "... and N more"
+
 
 @dataclass(frozen=True)
 class SweepSpec:
@@ -38,7 +40,7 @@ class SweepSpec:
     b_max: int = 3
     semantics: WeightRule = WeightRule.LANDING
 
-    def check(self) -> "SweepSpec":
+    def __post_init__(self) -> None:
         if self.n_max < 0:
             raise ValueError(f"n_max must be >= 0, got {self.n_max}")
         if self.n_max > DP_MAX_ROWS:
@@ -50,7 +52,6 @@ class SweepSpec:
         for name, floor in (("d_max", 1), ("strips_max", 1), ("a_max", 0), ("b_max", 0)):
             if getattr(self, name) < floor:
                 raise ValueError(f"{name} must be >= {floor}, got {getattr(self, name)}")
-        return self
 
 
 class Cell(NamedTuple):
@@ -128,16 +129,16 @@ class CompareReport:
             )
         return "\n".join(lines) + "\n"
 
-    def render(self, max_mismatches: int = 20) -> str:
+    def render(self) -> str:
         bad = self.mismatch_cells()
         lines = [f"cells: {self.total}   mismatches: {len(bad)}"]
-        for c in bad[:max_mismatches]:
+        for c in bad[:RENDER_MAX_MISMATCHES]:
             params = " ".join(f"{k}={v}" for k, v in c.parameters)
             lines.append(
                 f"  MISMATCH {c.formula_id} [{params}] "
                 f"formula={c.formula_value} oracle={c.oracle_value}"
             )
-        rest = len(bad) - max_mismatches
+        rest = len(bad) - RENDER_MAX_MISMATCHES
         if rest > 0:
             lines.append(f"  ... and {rest} more")
         return "\n".join(lines) + "\n"
@@ -239,7 +240,6 @@ def _sweep(spec: SweepSpec, rows: tuple[Formula, ...]) -> CompareReport:
     comprehension with positional calls.  The lanes' cells are joined in
     table order.
     """
-    spec.check()
     lanes, stream_of = [], {}
     for grid, group in groupby(rows, attrgetter("grid")):
         group = tuple(group)

@@ -276,6 +276,48 @@ def test_dp_count_live_strip_matches_scatter_reference(case):
             assert want == 0, m
 
 
+def _window(arr: Arrangement, start: int, m: int, n: int) -> tuple:
+    """dp_count's window, rule by rule: each column with a forbidden step
+    bounds it past m (just inside the column) and at or behind the start
+    (at the column), on the side the step points to."""
+    x_min, x_max = m - n, m + n
+    for (x, dx), w in step_rules(arr).items():
+        if w:
+            continue
+        if dx == RIGHT and x < m:
+            x_min = max(x_min, x + 1)
+        if dx == RIGHT and x >= start:
+            x_max = min(x_max, x)
+        if dx == LEFT and x > m:
+            x_max = min(x_max, x - 1)
+        if dx == LEFT and x <= start:
+            x_min = max(x_min, x)
+    return x_min, x_max
+
+
+@given(_barrier_cases())
+@settings(max_examples=200, deadline=None)
+def test_dp_count_rows_stay_inside_the_window_and_the_cone(case):
+    # Every row dp_count hands the kernel lies inside the window, fixed
+    # before the first row, and inside both light cones; the count is
+    # still the full-width scatter DP's.  Starts on, beside and beyond a
+    # barrier put the window's start-side bound at the start itself.
+    arr, start, n = case
+    lo, rows = _scatter_table(start, n, arr)
+    for m in range(start - n, start + n + 1, 2):
+        x_min, x_max = _window(arr, start, m, n)
+        with pytest.MonkeyPatch.context() as mp:
+            got, windows = _kernel_windows(mp, PathQuery((start, 0), m, n, arr))
+        assert got == rows[n][m - lo], m
+        if got:
+            assert len(windows) == n, m
+        for y, (x, k) in enumerate(windows):
+            cone = max(start - y, m - n + y), min(start + y, m + n - y)
+            assert max(x_min, cone[0]) <= x <= x + 2 * (k - 1) <= min(x_max, cone[1]), (m, y)
+        if not x_min <= start <= x_max:
+            assert windows == [] and got == 0, m
+
+
 @pytest.mark.parametrize("periodic", [True, False])
 @pytest.mark.parametrize("l", [2, 3, 4, 5])
 def test_dp_count_between_filters_is_linear_in_n(monkeypatch, l, periodic):

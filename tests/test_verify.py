@@ -3,12 +3,13 @@
 import functools
 import hashlib
 import json
+import random
 
 import pytest
 
 from filterpaths import formulas, verify
-from filterpaths.model import WeightRule
-from filterpaths.oracle import DP_MAX_ROWS, ENUM_MAX_ROWS
+from filterpaths.model import Arrangement, WeightRule
+from filterpaths.oracle import DP_MAX_ROWS, ENUM_MAX_ROWS, PathQuery, dp_count
 from filterpaths.verify import (
     SweepSpec,
     run_lemma_suite,
@@ -163,19 +164,28 @@ class TestReports:
         assert f"cells: {report.total}" in text
         assert "mismatches: 0" in text
 
+    def test_render_lists_the_first_mismatches_then_the_rest_count(self):
+        cells = [verify.Cell("free", (("m", m), ("n", 9)), m, m + 1) for m in range(25)]
+        cells.insert(3, verify.Cell("free", (("m", 1), ("n", 1)), 1, 1))
+        lines = verify.CompareReport(cells).render().splitlines()
+        assert lines[0] == "cells: 26   mismatches: 25"
+        assert lines[1:-1] == [f"  MISMATCH free [m={m} n=9] formula={m} oracle={m + 1}"
+                               for m in range(verify.RENDER_MAX_MISMATCHES)]
+        assert lines[-1] == "  ... and 5 more"
+
 
 class TestSweepSpecValidation:
     def test_negative_n_max(self):
         with pytest.raises(ValueError):
-            SweepSpec(n_max=-1).check()
+            SweepSpec(n_max=-1)
 
     def test_l_below_two(self):
         with pytest.raises(ValueError):
-            SweepSpec(l_values=(1,)).check()
+            SweepSpec(l_values=(1,))
 
     def test_d_max_below_one(self):
         with pytest.raises(ValueError):
-            SweepSpec(d_max=0).check()
+            SweepSpec(d_max=0)
 
     @pytest.mark.parametrize("field, value", [
         ("a_max", -1),
@@ -184,7 +194,7 @@ class TestSweepSpecValidation:
     ])
     def test_field_below_floor(self, field, value):
         with pytest.raises(ValueError, match=field):
-            SweepSpec(**{field: value}).check()
+            SweepSpec(**{field: value})
 
     @pytest.mark.parametrize("field, value", [
         ("l_values", (2, 2)),  # a repeated l would sweep its cells twice
@@ -192,10 +202,34 @@ class TestSweepSpecValidation:
     ])
     def test_field_rejected(self, field, value):
         with pytest.raises(ValueError, match=field):
-            SweepSpec(**{field: value}).check()
+            SweepSpec(**{field: value})
 
 
 class TestFormulaTable:
+    def test_every_row_matches_the_dp_at_large_n(self):
+        """Each row's closed form against `dp_count` on its own arrangement
+        and start, at seeded draws of n up to 1500: far past the sweeps'
+        n_max, over every one-way-column layout of the table."""
+        rng = random.Random(21)
+        spec = SweepSpec()
+        checked = 0
+        for row in verify.FORMULAS:
+            for _ in range(6):
+                g = rng.choice(verify._values(spec, row.grid))
+                i = rng.choice(verify._values(spec, row.index))
+                ms = range(0)
+                while not ms:
+                    n = rng.randint(0, 1500)
+                    lo, hi = row.m_range(SweepSpec(n_max=n), g, n)
+                    ms = range(lo + (n - lo) % 2, hi + 1, 2)
+                m = rng.choice(ms)
+                fixed = [v for k, v in ((row.index, i), (row.grid, g)) if k]
+                arr = Arrangement(row.restrictions(SweepSpec(n_max=n), g))
+                want = dp_count(PathQuery((row.start(g, i), 0), m, n, arr))
+                assert row.value(formulas, *fixed, m, n) == want, (row.id, fixed, m, n)
+                checked += 1
+        assert checked == 6 * len(verify.FORMULAS) == 96
+
     @pytest.mark.parametrize("suite, calls", [
         (run_lemma_suite, 37),  # filter{1,2}_left/right share a stream per d
         (run_theorem_suite, 44),  # th3 and th32 at a=0 share a stream per l
