@@ -64,6 +64,7 @@ from .oracle import (
 from .verify import (
     Cell,
     CompareReport,
+    Lane,
     SweepSpec,
     run_lemma_suite,
     run_property_suite,

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import functools
 import math
+from itertools import accumulate
 from operator import mul, sub
 
 # Largest row `_row` builds: at 50,000 it takes 116 MiB and 0.3-0.5 s (its size grows as
@@ -263,7 +264,9 @@ def wall_two_filters(l: int, m: int, n: int) -> int:
 
 @functools.lru_cache(maxsize=4096, typed=True)
 def _poly(j: int, k: int, odd: int) -> int:
-    """Sum over i of C(j-2, 2i + odd) * C(k - i + j - 2, j - 2)."""
+    """Sum over i of C(j-2, 2i + odd) * C(k - i + j - 2, j - 2): the paper's p/q
+    definition, which `poly_p`, `poly_q` and so `pq_recurrence_check` read;
+    `_mj_lane` reads the same values from `_pq_series`."""
     _require(j, 2, "strip index")
     _require(k, 0, "term index")
     total = 0
@@ -314,6 +317,21 @@ def strip_index(l: int, m: int) -> int:
     return (m + 1) // l + 1
 
 
+def _pq_series(j: int, odd: int, size: int) -> list[int]:
+    """`_poly(j, k, odd)` for 0 <= k < size, all at once.
+
+    They are the coefficients of A(x) / (1 - x)^(j - 1), where
+    A(x) = sum over i of C(j - 2, 2i + odd) * x^i, since 1 / (1 - x)^(j - 1)
+    has the coefficients C(t + j - 2, j - 2); each factor 1 / (1 - x) is
+    one running sum.
+    """
+    cs = [binom(j - 2, 2 * i + odd) for i in range(min(size, j // 2))]  # 0 from i = j/2 on
+    cs += [0] * (size - len(cs))
+    for _ in range(j - 1):
+        cs = list(accumulate(cs))
+    return cs
+
+
 @functools.lru_cache(maxsize=1)
 def _mj_lane(l: int, j: int, n: int) -> tuple[int, ...]:
     """`multiplicity(l, m, n)` for the columns m <= n of strip j >= 2 with m + n even.
@@ -323,8 +341,10 @@ def _mj_lane(l: int, j: int, n: int) -> tuple[int, ...]:
     row cells 2l apart from a start a(m): it is one dot product of its
     coefficients with row[a::±2l], minus the same dot product one cell
     over, row[a - 1::±2l].  The coefficient lists are taken once per
-    (l, j, n), with the k ranges of the images that can reach row n.
-    Cached for the last (l, j, n) only, like `_row`.
+    (l, j, n), with the k ranges of the images that can reach row n, from
+    `_pq_series`: about j*n/4l big-int additions, where `_poly` term by term
+    costs j/2 products per coefficient.  Cached for the last (l, j, n)
+    only, like `_row`.
     """
     row = _row(n)
     e, lo = 2 * l, (j - 1) * l - 1
@@ -333,8 +353,8 @@ def _mj_lane(l: int, j: int, n: int) -> tuple[int, ...]:
         return (sum(map(mul, cs, row[a::step] if a >= 0 else ()))
                 - sum(map(mul, cs, row[a - 1::step] if a >= 1 else ())))
 
-    p = [poly_p(j, k) for k in range((n - (j - 1) * l + 1) // (4 * l) + 1)]
-    q = [poly_q(j, k) for k in range((n - (j + 1) * l + 1) // (4 * l) + 1)]
+    p = _pq_series(j, 0, (n - (j - 1) * l + 1) // (4 * l) + 1)
+    q = _pq_series(j, 1, (n - (j + 1) * l + 1) // (4 * l) + 1)
     # n >= (j - 1)l - 1 for any column of the strip, so both prefix lengths are >= 0
     p_left, q_left = p[:(n - j * l) // (4 * l) + 1], q[:(n - (j + 2) * l) // (4 * l) + 1]
     lane = []

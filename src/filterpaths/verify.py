@@ -2,8 +2,12 @@
 
 Sweeps parameter grids, evaluates every closed form against the DP
 oracle, and assembles a deterministic machine-readable report.  The
-report's integer fields serialize as decimal strings so arbitrarily large
-counts survive any consumer.
+report is stored a lane at a time: a `Lane` is one formula with fixed
+parameters on one row n, its endpoints m0, m0 + 2, ... and two lists of
+values, the closed form's and the oracle's.  `CompareReport.cells` spells
+the lanes out as one `Cell` per endpoint, on demand.  The report's
+integer fields serialize as decimal strings so arbitrarily large counts
+survive any consumer.
 """
 
 from __future__ import annotations
@@ -12,9 +16,9 @@ import functools
 import json
 import random
 from dataclasses import dataclass, field
-from itertools import groupby
-from operator import attrgetter
-from typing import Callable, NamedTuple
+from itertools import count, groupby
+from operator import attrgetter, ne
+from typing import Callable, Iterable, NamedTuple
 
 from . import formulas
 from .model import (
@@ -25,7 +29,7 @@ from .model import (
     canonical_arrangement,
     validate,
 )
-from .oracle import DP_MAX_ROWS, ENUM_MAX_ROWS, PathQuery, dp_count, dp_rows, enum_weight, row_count
+from .oracle import DP_MAX_ROWS, ENUM_MAX_ROWS, PathQuery, dp_count, dp_rows, enum_weight
 
 RENDER_MAX_MISMATCHES = 20  # mismatch lines `CompareReport.render` lists before "... and N more"
 
@@ -65,68 +69,100 @@ class Cell(NamedTuple):
         return self.formula_value == self.oracle_value
 
 
+class Lane(NamedTuple):
+    """Endpoint m0 + 2i of one formula with fixed parameters on row n: the
+    closed form's value formula_values[i], the oracle's oracle_values[i].
+    Its cells' parameters are the fixed ones, then ("m", m), ("n", n)."""
+
+    formula_id: str
+    fixed: tuple[tuple[str, int], ...]
+    n: int
+    m0: int
+    formula_values: list[int]
+    oracle_values: list[int]
+
+    def cells(self) -> list[Cell]:
+        fid, fixed, n = self.formula_id, self.fixed, self.n
+        return [Cell(fid, (*fixed, ("m", m), ("n", n)), fv, ov)
+                for m, fv, ov in zip(count(self.m0, 2), self.formula_values, self.oracle_values)]
+
+
 @dataclass
 class CompareReport:
-    cells: list[Cell] = field(default_factory=list)
+    """A report's cells, stored as `Lane`s in report order.
+
+    `total`, `mismatches`, `mismatch_cells` and the three texts (`render`,
+    `to_csv`, `to_json`) read the lanes; only `cells` and
+    `mismatch_cells` build `Cell`s, the latter for mismatching endpoints.
+    """
+
+    lanes: list[Lane] = field(default_factory=list)
+
+    @property
+    def cells(self) -> list[Cell]:
+        """Every endpoint of every lane as a `Cell`, built on each read.
+
+        Assigning a list of cells replaces the lanes, one lane per cell;
+        each cell's parameters must end in ("m", m), ("n", n).
+        """
+        return [c for lane in self.lanes for c in lane.cells()]
+
+    @cells.setter
+    def cells(self, cells: Iterable[Cell]) -> None:
+        lanes = []
+        for fid, params, fv, ov in cells:
+            *fixed, (m_key, m), (n_key, n) = params
+            if (m_key, n_key) != ("m", "n"):
+                raise ValueError(f"cell parameters must end in m and n, got {params}")
+            lanes.append(Lane(fid, tuple(fixed), n, m, [fv], [ov]))
+        self.lanes = lanes
 
     @property
     def total(self) -> int:
-        return len(self.cells)
+        return sum(len(lane.formula_values) for lane in self.lanes)
 
     @property
     def mismatches(self) -> int:
-        return sum(1 for c in self.cells if not c.match)
+        return sum(sum(map(ne, lane.formula_values, lane.oracle_values)) for lane in self.lanes)
 
     def mismatch_cells(self) -> list[Cell]:
-        return [c for c in self.cells if not c.match]
+        return [c for lane in self.lanes if lane.formula_values != lane.oracle_values
+                for c in lane.cells() if not c.match]
 
     def extend(self, other: "CompareReport") -> None:
-        self.cells.extend(other.cells)
-
-    def as_dict(self) -> dict:
-        return {
-            "cells": [
-                {
-                    "formula_id": c.formula_id,
-                    "parameters": dict(c.parameters),
-                    "formula_value": str(c.formula_value),
-                    "oracle_value": str(c.oracle_value),
-                    "match": c.match,
-                }
-                for c in self.cells
-            ],
-            "summary": {"total": self.total, "mismatches": self.mismatches},
-        }
+        self.lanes.extend(other.lanes)
 
     def to_json(self) -> str:
-        """The text of `json.dumps(self.as_dict(), indent=2)`, one f-string per cell.
+        """`json.dumps(d, indent=2)` of the report's dict d, written a lane at a time.
 
-        Strings (ids, parameter names) go through `json.dumps`, each distinct
-        one once, so their escaping is the encoder's; the rest are ints.
+        d is {"cells": [...], "summary": {"total": ..., "mismatches": ...}},
+        one entry per cell: its formula_id, its parameters as an object,
+        formula_value and oracle_value as decimal strings, and match.  A
+        lane's text before m (the id and fixed parameters) and between m
+        and the formula value (its n) is made once; then each endpoint is
+        one f-string.  Strings (ids, parameter names) go through
+        `json.dumps`, each distinct one once, so their escaping is the
+        encoder's; the rest are ints.
         """
         q = functools.cache(json.dumps)
-
-        def cell(c: Cell) -> str:
-            params = ",\n".join(f"        {q(k)}: {v}" for k, v in dict(c.parameters).items())
-            params = f"{{\n{params}\n      }}" if params else "{}"
-            return (f'    {{\n      "formula_id": {q(c.formula_id)},\n'
-                    f'      "parameters": {params},\n'
-                    f'      "formula_value": "{c.formula_value}",\n'
-                    f'      "oracle_value": "{c.oracle_value}",\n'
-                    f'      "match": {"true" if c.match else "false"}\n    }}')
-
-        cells = "[\n" + ",\n".join(map(cell, self.cells)) + "\n  ]" if self.cells else "[]"
+        cells = []
+        for fid, fixed, n, m0, fvs, ovs in self.lanes:
+            params = "".join(f"{q(k)}: {v},\n        " for k, v in fixed)
+            head = f'    {{\n      "formula_id": {q(fid)},\n      "parameters": {{\n        {params}"m": '
+            mid = f',\n        "n": {n}\n      }},\n      "formula_value": "'
+            cells += [f'{head}{m}{mid}{fv}",\n      "oracle_value": "{ov}",\n'
+                      f'      "match": {"true" if fv == ov else "false"}\n    }}'
+                      for m, fv, ov in zip(count(m0, 2), fvs, ovs)]
+        cells = "[\n" + ",\n".join(cells) + "\n  ]" if cells else "[]"
         return (f'{{\n  "cells": {cells},\n  "summary": {{\n    "total": {self.total},\n'
                 f'    "mismatches": {self.mismatches}\n  }}\n}}')
 
     def to_csv(self) -> str:
         lines = ["formula_id,parameters,formula_value,oracle_value,match"]
-        for c in self.cells:
-            params = " ".join(f"{k}={v}" for k, v in c.parameters)
-            lines.append(
-                f"{c.formula_id},{params},{c.formula_value},{c.oracle_value},"
-                f"{str(c.match).lower()}"
-            )
+        for fid, fixed, n, m0, fvs, ovs in self.lanes:
+            head = f"{fid}," + "".join(f"{k}={v} " for k, v in fixed) + "m="
+            lines += [f"{head}{m} n={n},{fv},{ov},{'true' if fv == ov else 'false'}"
+                      for m, fv, ov in zip(count(m0, 2), fvs, ovs)]
         return "\n".join(lines) + "\n"
 
     def render(self) -> str:
@@ -144,10 +180,6 @@ class CompareReport:
         return "\n".join(lines) + "\n"
 
 
-def _params(**kwargs: int) -> tuple[tuple[str, int], ...]:
-    return tuple(kwargs.items())
-
-
 def _rs(*pairs: tuple[Kind, int]) -> tuple[Restriction, ...]:
     return tuple(Restriction(kind, axis) for kind, axis in pairs)
 
@@ -161,7 +193,9 @@ class Formula:
     `restrictions(spec, g)` and row n's endpoints span `m_range(spec, g, n)`.
     `value(f, *fixed, m, n)` evaluates the closed form via the module f,
     where fixed is (i, g) with the absent ones left out, the order of a
-    cell's parameters.
+    cell's parameters.  Where given, `lane(f, *fixed, ms, n)` evaluates
+    every endpoint of the range ms at once, as a slice of a closed-form
+    lane that `value` reads too; the sweep then makes no `value` call.
     """
 
     id: str
@@ -171,6 +205,7 @@ class Formula:
     value: Callable[..., int]
     index: str = ""
     start: Callable[[int, int], int] = lambda g, i: 0
+    lane: Callable[..., list[int]] | None = None
 
 
 W, WR, F1, F2 = Kind.WALL_LEFT, Kind.WALL_RIGHT, Kind.FILTER1, Kind.FILTER2
@@ -179,6 +214,25 @@ _NEG = lambda s, d, n: (max(-d, -n), n)
 _WALL_FILTER = lambda s, l: _rs((W, 0), (F1, l - 1))
 _PAIR = lambda s, l: _rs((F1, l - 1), (F2, 2 * l - 1))
 _STRIP2 = lambda s, l, n: (l - 1, min(2 * l - 2, n))
+
+
+def _right_values(f, l: int, ms: range, n: int) -> list[int]:
+    """desire2 at every m in ms: entries h = (n - m)/2 of `_right_lane(l, n)`, in m order."""
+    h0 = (n - ms[0]) // 2
+    return list(f._right_lane(l, n)[h0 - len(ms) + 1:h0 + 1][::-1])
+
+
+def _mj_values(f, l: int, ms: range, n: int) -> list[int]:
+    """mj at every m in ms, which runs from column 0 or 1 to the end of a strip or to n.
+
+    Strip 1 is one `multiplicity` call per m (it reduces to
+    `wall_filter_strip1`); each later strip j is all of `_mj_lane(l, j, n)`.
+    """
+    values = [f.multiplicity(l, m, n) for m in range(ms[0], min(l - 2, ms[-1]) + 1, 2)]
+    for j in range(2, f.strip_index(l, ms[-1]) + 1):
+        values += f._mj_lane(l, j, n)
+    return values
+
 
 LEMMAS = (
     Formula("free", "", lambda s, g: (), lambda s, g, n: (-n, n),
@@ -205,7 +259,7 @@ THEOREMS = (
     Formula("desire1", "l", _WALL_FILTER, lambda s, l, n: (0, min(l - 2, n)),
             lambda f, l, m, n: f.wall_filter_strip1(l, m, n)),
     Formula("desire2", "l", _WALL_FILTER, lambda s, l, n: (l - 1, n),
-            lambda f, l, m, n: f.wall_filter_right(l, m, n)),
+            lambda f, l, m, n: f.wall_filter_right(l, m, n), lane=_right_values),
     Formula("th3", "l", _PAIR, _STRIP2, lambda f, l, m, n: f.two_filters(l, m, n)),
     Formula("th32", "l", _PAIR, _STRIP2,
             lambda f, a, l, m, n: f.two_filters_from_even(a, l, m, n),
@@ -217,7 +271,7 @@ THEOREMS = (
             lambda f, l, m, n: f.wall_two_filters(l, m, n)),
     Formula("mj", "l", lambda s, l: canonical_arrangement(l, s.n_max).restrictions,
             lambda s, l, n: (0, min(s.strips_max * l - 2, n)),
-            lambda f, l, m, n: f.multiplicity(l, m, n)),
+            lambda f, l, m, n: f.multiplicity(l, m, n), lane=_mj_values),
 )
 
 FORMULAS = LEMMAS + THEOREMS
@@ -229,18 +283,29 @@ def _values(spec: SweepSpec, name: str):
             "a": range(spec.a_max + 1), "b": range(spec.b_max + 1)}.get(name, (None,))
 
 
-def _sweep(spec: SweepSpec, rows: tuple[Formula, ...]) -> CompareReport:
-    """Every row's cells, all rows per grid value, in table order.
+def _oracle_values(row: list, start: int, n: int, ms: range) -> list[int]:
+    """`row_count(row, start, m)` for every m in ms: one slice of the stream's
+    row n, zero-padded where ms leaves the row or its parity."""
+    k0, odd = divmod(ms[0] - start + n, 2)
+    k1 = k0 + len(ms)
+    if odd or k1 <= 0 or k0 >= len(row):
+        return [0] * len(ms)
+    return [0] * -k0 + row[max(k0, 0):k1] + [0] * (k1 - len(row))
 
-    Each (row, grid value, start index) is a lane; lanes with the same
-    start and arrangement read one `dp_rows` stream.  n is the outer loop:
-    row n of every stream is taken, then every lane's cells on row n are
-    made, so each stream holds one row and the closed forms build each
-    Pascal row once, and a lane's cells on row n are one list
-    comprehension with positional calls.  The lanes' cells are joined in
-    table order.
+
+def _sweep(spec: SweepSpec, rows: tuple[Formula, ...]) -> CompareReport:
+    """Every row's lanes, all rows per grid value, in table order.
+
+    Each (row, grid value, start index) gives one lane per row n; those
+    with the same start and arrangement read one `dp_rows` stream.  n is
+    the outer loop: row n of every stream is taken, then every lane on
+    row n is made, so each stream holds one row and the closed forms build
+    each Pascal row once.  A lane's endpoints m, m + 2, ... are
+    neighbouring cells of its stream's row, so its oracle values are one
+    slice of it; its formula values are one `Formula.lane` call, or one
+    positional `value` call per m.  The lanes are joined in table order.
     """
-    lanes, stream_of = [], {}
+    plan, stream_of = [], {}
     for grid, group in groupby(rows, attrgetter("grid")):
         group = tuple(group)
         for g in _values(spec, grid):
@@ -250,20 +315,21 @@ def _sweep(spec: SweepSpec, rows: tuple[Formula, ...]) -> CompareReport:
                     start = row.start(g, i)
                     s = stream_of.setdefault((start, arr), len(stream_of))
                     fixed = tuple((k, v) for k, v in ((row.index, i), (grid, g)) if k)
-                    lanes.append((row, g, fixed, tuple(v for _, v in fixed), start, s, []))
+                    plan.append((row, g, fixed, tuple(v for _, v in fixed), start, s, []))
     streams = [dp_rows(start, spec.n_max, arr) for start, arr in stream_of]
     for n, dp in enumerate(zip(*streams)):
-        for row, g, fixed, values, start, s, cells in lanes:
+        for row, g, fixed, values, start, s, lanes in plan:
             lo, hi = row.m_range(spec, g, n)
-            counts, value, fid = dp[s], row.value, row.id
-            cells += [Cell(fid, (*fixed, ("m", m), ("n", n)), value(formulas, *values, m, n),
-                           row_count(counts, start, m))
-                      for m in range(lo + (n - lo) % 2, hi + 1, 2)]
-    report = CompareReport()
-    for *_, cells in lanes:
-        report.cells += cells
-        cells.clear()  # so the cells' list is not held twice
-    return report
+            ms = range(lo + (n - lo) % 2, hi + 1, 2)
+            if not ms:
+                continue
+            if row.lane:
+                fv = row.lane(formulas, *values, ms, n)
+            else:
+                value = row.value
+                fv = [value(formulas, *values, m, n) for m in ms]
+            lanes.append(Lane(row.id, fixed, n, ms[0], fv, _oracle_values(dp[s], start, n, ms)))
+    return CompareReport([lane for *_, lanes in plan for lane in lanes])
 
 
 def run_lemma_suite(spec: SweepSpec) -> CompareReport:
@@ -312,17 +378,13 @@ def run_property_suite(seed: int, cases: int, n_max: int = 20) -> CompareReport:
         dp = dp_count(q)
 
         enum_total = enum_weight(q)
-        report.cells.append(
-            Cell("dp_vs_enum", _params(case=i, start=start, m=m, n=n), dp, enum_total)
-        )
+        report.lanes.append(Lane("dp_vs_enum", (("case", i), ("start", start)), n, m,
+                                 [dp], [enum_total]))
 
         t = rng.randint(-5, 5)
         shifted = dp_count(PathQuery((start + t, 0), m + t, n, arr.shifted(t)))
-        report.cells.append(
-            Cell("translation", _params(case=i, shift=t, m=m, n=n), shifted, dp)
-        )
+        report.lanes.append(Lane("translation", (("case", i), ("shift", t)), n, m,
+                                 [shifted], [dp]))
 
-        report.cells.append(
-            Cell("nonnegative", _params(case=i, m=m, n=n), dp, max(dp, 0))
-        )
+        report.lanes.append(Lane("nonnegative", (("case", i),), n, m, [dp], [max(dp, 0)]))
     return report

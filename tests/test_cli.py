@@ -383,7 +383,8 @@ def test_names_the_benchmark_reads_exist(capsys, monkeypatch):
     `filterpaths.KERNEL_BACKEND` and `model.step_rules.cache_info()` in
     every pass, and its tracer wraps the names below where they are
     called; deleting one of them must fail here rather than in the
-    benchmark."""
+    benchmark.  The theorem sweep's digest reads `report.cells`, and its
+    digest check assigns shifted cells to it."""
     import filterpaths
     from filterpaths import cli, model, oracle, verify
 
@@ -410,3 +411,11 @@ def test_names_the_benchmark_reads_exist(capsys, monkeypatch):
                          "--format", "text")
     assert code == 0
     assert len(captured) == 1 and captured[0].total > 0
+    report = captured[0]
+    cells = report.cells
+    assert len(cells) == report.total and {type(c) for c in cells} == {verify.Cell}
+    shifted = [verify.Cell(c.formula_id, c.parameters, c.formula_value + 1, c.oracle_value + 1)
+               for c in cells]
+    report.cells = shifted
+    assert report.cells == shifted != cells
+    assert (report.total, report.mismatches) == (len(cells), 0)

@@ -9,6 +9,7 @@ the acceptance suite).
 import importlib.util
 import inspect
 import math
+import time
 import tracemalloc
 import types
 
@@ -43,7 +44,7 @@ from filterpaths.formulas import (
     wall_two_filters,
 )
 from filterpaths.model import Arrangement, Kind, Restriction, canonical_arrangement
-from filterpaths.oracle import dp_rows, row_count
+from filterpaths.oracle import PathQuery, dp_count, dp_rows, row_count
 
 
 class TestBinom:
@@ -288,6 +289,14 @@ class TestPolyFamilies:
         with pytest.raises(DomainError):
             poly_q(2, -1)
 
+    def test_series_is_the_paper_sum(self):
+        """`_mj_lane`'s coefficient lists, running sums of A(x), equal `_poly`."""
+        for j in range(2, 61):
+            for odd in (0, 1):
+                want = [formulas._poly(j, k, odd) for k in range(61)]
+                assert formulas._pq_series(j, odd, 61) == want, (j, odd)
+        assert formulas._pq_series(7, 1, 0) == formulas._pq_series(7, 1, -2) == []
+
     @given(st.integers(2, 9), st.integers(0, 24))
     def test_nondecreasing_in_k(self, j, k):
         assert poly_p(j, k + 1) >= poly_p(j, k)
@@ -317,6 +326,19 @@ class TestMultiplicity:
             multiplicity(2, 8, 4)  # past the last reachable column
         with pytest.raises(DomainError):
             multiplicity(2, -1, 3)
+
+    def test_far_strip_is_fast_from_a_cold_cache(self):
+        for cache in (formulas._row, formulas._mj_lane, formulas._poly):
+            cache.cache_clear()
+        t0 = time.perf_counter()
+        value = multiplicity(2, 999, 4999)  # strip 501
+        assert time.perf_counter() - t0 < 0.5
+        assert value > 0
+
+    @pytest.mark.parametrize("l, m, n", [(2, 201, 2001), (3, 400, 2000), (5, 600, 2500)])
+    def test_far_strips_match_the_dp(self, l, m, n):
+        assert strip_index(l, m) > 100
+        assert multiplicity(l, m, n) == dp_count(PathQuery((0, 0), m, n, canonical_arrangement(l, n)))
 
     @given(st.integers(2, 5), st.integers(0, 20))
     @settings(max_examples=60, deadline=None)

@@ -4,13 +4,17 @@ import functools
 import hashlib
 import json
 import random
+from itertools import groupby
+from operator import attrgetter
 
 import pytest
 
 from filterpaths import formulas, verify
 from filterpaths.model import Arrangement, WeightRule
-from filterpaths.oracle import DP_MAX_ROWS, ENUM_MAX_ROWS, PathQuery, dp_count
+from filterpaths.oracle import DP_MAX_ROWS, ENUM_MAX_ROWS, PathQuery, dp_count, dp_rows, row_count
 from filterpaths.verify import (
+    Cell,
+    Lane,
     SweepSpec,
     run_lemma_suite,
     run_property_suite,
@@ -29,6 +33,80 @@ def _cells_digest(cells) -> str:
 
 
 SMALL = SweepSpec(l_values=(2, 3), n_max=12, d_max=2, strips_max=3, a_max=1, b_max=1)
+
+
+def _cells_by_endpoint(spec, rows):
+    """The sweep one cell at a time, the reference for `verify._sweep`: one
+    `Cell`, one `value` call and one `row_count` per endpoint."""
+    lanes, stream_of = [], {}
+    for grid, group in groupby(rows, attrgetter("grid")):
+        group = tuple(group)
+        for g in verify._values(spec, grid):
+            for row in group:
+                arr = Arrangement(row.restrictions(spec, g), spec.semantics)
+                for i in verify._values(spec, row.index):
+                    start = row.start(g, i)
+                    s = stream_of.setdefault((start, arr), len(stream_of))
+                    fixed = tuple((k, v) for k, v in ((row.index, i), (grid, g)) if k)
+                    lanes.append((row, g, fixed, tuple(v for _, v in fixed), start, s, []))
+    streams = [dp_rows(start, spec.n_max, arr) for start, arr in stream_of]
+    for n, dp in enumerate(zip(*streams)):
+        for row, g, fixed, values, start, s, cells in lanes:
+            lo, hi = row.m_range(spec, g, n)
+            counts, value, fid = dp[s], row.value, row.id
+            cells += [Cell(fid, (*fixed, ("m", m), ("n", n)), value(formulas, *values, m, n),
+                           row_count(counts, start, m))
+                      for m in range(lo + (n - lo) % 2, hi + 1, 2)]
+    return [c for *_, cells in lanes for c in cells]
+
+
+def _as_dict(report):
+    """The report as the document `to_json` encodes, built cell by cell."""
+    return {
+        "cells": [
+            {
+                "formula_id": c.formula_id,
+                "parameters": dict(c.parameters),
+                "formula_value": str(c.formula_value),
+                "oracle_value": str(c.oracle_value),
+                "match": c.match,
+            }
+            for c in report.cells
+        ],
+        "summary": {"total": report.total, "mismatches": report.mismatches},
+    }
+
+
+def _csv_by_cell(report):
+    """`to_csv`'s text built cell by cell."""
+    lines = ["formula_id,parameters,formula_value,oracle_value,match"]
+    for c in report.cells:
+        params = " ".join(f"{k}={v}" for k, v in c.parameters)
+        lines.append(f"{c.formula_id},{params},{c.formula_value},{c.oracle_value},"
+                     f"{str(c.match).lower()}")
+    return "\n".join(lines) + "\n"
+
+
+def _report(*lanes):
+    return verify.CompareReport(list(lanes))
+
+
+# Mismatches in three lanes, split by matching cells and by a clean lane.
+SPREAD = _report(
+    Lane("free", (), 9, -3, [1, 2, 3, 4, 5, 6, 7], [1, 0, 0, 0, 0, 0, 0]),
+    Lane("wall_left", (("d", 2),), 9, -1, [4, 4], [4, 4]),
+    Lane("th32", (("a", 1), ("l", 2)), 10, 1, [5, 6, 7, 8, 9, 10, 11, 12],
+         [0, 0, 0, 8, 0, 0, 0, 0]),
+    Lane("mj", (("l", 3),), 11, 1, [*range(20, 30)], [*range(21, 31)]),
+)
+REPORTS = [
+    verify.CompareReport(),
+    run_lemma_suite(SweepSpec(l_values=(2,), n_max=8, d_max=2, semantics=WeightRule.LITERAL)),
+    _report(Lane('say "\u00e9t\u00e9"\\\n', (("\u00e9", 7),), 5, -3, [10**40, 0], [-2, 0]),
+            Lane("free", (), 0, 0, [1], [1])),
+    SPREAD,
+]
+REPORT_IDS = ["empty", "literal-mismatches", "escapes", "mismatches-in-several-lanes"]
 
 
 class TestLemmaSuite:
@@ -138,19 +216,15 @@ class TestReports:
         flagged = [c for c in doc["cells"] if not c["match"]]
         assert len(flagged) == report.mismatches
 
-    @pytest.mark.parametrize("report", [
-        verify.CompareReport(),
-        run_lemma_suite(SweepSpec(l_values=(2,), n_max=8, d_max=2,
-                                  semantics=WeightRule.LITERAL)),
-        verify.CompareReport([
-            verify.Cell('say "\u00e9t\u00e9"\\\n', (("m", -3), ("\u00e9", 7)), 10**40, -2),
-            verify.Cell("free", (), 0, 0),
-        ]),
-    ], ids=["empty", "literal-mismatches", "escapes-and-no-parameters"])
+    @pytest.mark.parametrize("report", REPORTS, ids=REPORT_IDS)
     def test_to_json_is_the_indented_encoding(self, report):
         text = report.to_json()
-        assert text == json.dumps(report.as_dict(), indent=2)
+        assert text == json.dumps(_as_dict(report), indent=2)
         assert ('"match": false' in text) == (report.mismatches > 0)
+
+    @pytest.mark.parametrize("report", REPORTS, ids=REPORT_IDS)
+    def test_to_csv_is_the_cell_by_cell_text(self, report):
+        assert report.to_csv() == _csv_by_cell(report)
 
     def test_csv_shape(self):
         report = run_lemma_suite(SweepSpec(l_values=(2,), n_max=4, d_max=1))
@@ -167,11 +241,78 @@ class TestReports:
     def test_render_lists_the_first_mismatches_then_the_rest_count(self):
         cells = [verify.Cell("free", (("m", m), ("n", 9)), m, m + 1) for m in range(25)]
         cells.insert(3, verify.Cell("free", (("m", 1), ("n", 1)), 1, 1))
-        lines = verify.CompareReport(cells).render().splitlines()
+        report = verify.CompareReport()
+        report.cells = cells
+        lines = report.render().splitlines()
         assert lines[0] == "cells: 26   mismatches: 25"
         assert lines[1:-1] == [f"  MISMATCH free [m={m} n=9] formula={m} oracle={m + 1}"
                                for m in range(verify.RENDER_MAX_MISMATCHES)]
         assert lines[-1] == "  ... and 5 more"
+
+    def test_render_caps_mismatches_that_span_lanes(self):
+        """6 + 7 + 10 mismatches in three lanes, then 3 in a fourth: the cap
+        falls inside the third lane, and the rest counts its last 3 and the
+        fourth lane's."""
+        report = _report(*SPREAD.lanes, Lane("th4", (("l", 2),), 12, 1, [0, 1, 2], [3, 4, 5]))
+        lines = report.render().splitlines()
+        assert lines[0] == "cells: 30   mismatches: 26"
+        assert lines[1:7] == [f"  MISMATCH free [m={m} n=9] formula={(m + 5) // 2} oracle=0"
+                              for m in range(-1, 11, 2)]
+        assert lines[7:14] == [f"  MISMATCH th32 [a=1 l=2 m={m} n=10] formula={(m + 9) // 2} "
+                               f"oracle=0" for m in range(1, 16, 2) if m != 7]
+        assert lines[14:21] == [f"  MISMATCH mj [l=3 m={m} n=11] formula={20 + m // 2} "
+                                f"oracle={21 + m // 2}" for m in range(1, 14, 2)]
+        assert lines[21:] == ["  ... and 6 more"]
+
+    def test_cells_view_and_assignment(self):
+        assert [tuple(c) for c in SPREAD.lanes[1].cells()] == [
+            ("wall_left", (("d", 2), ("m", m), ("n", 9)), 4, 4) for m in (-1, 1)]
+        assert SPREAD.cells == [c for lane in SPREAD.lanes for c in lane.cells()]
+        assert SPREAD.total == len(SPREAD.cells) == 27
+        assert SPREAD.mismatches == sum(not c.match for c in SPREAD.cells) == 23
+        report = verify.CompareReport()
+        report.cells = SPREAD.cells
+        assert report.cells == SPREAD.cells and len(report.lanes) == 27
+        assert report.to_json() == SPREAD.to_json()
+        with pytest.raises(ValueError, match="m and n"):
+            report.cells = [Cell("free", (("n", 1), ("m", 1)), 0, 0)]
+
+
+class TestLanesAgainstCells:
+    """The lane sweep's `cells` against the sweep one cell at a time."""
+
+    @pytest.mark.parametrize("spec", [
+        SweepSpec(),
+        SweepSpec(n_max=0),
+        SweepSpec(n_max=1),
+        SweepSpec(l_values=(3,), n_max=30, d_max=4, strips_max=7, a_max=2, b_max=2),
+        SweepSpec(l_values=(2, 5), n_max=20, semantics=WeightRule.LITERAL),
+    ], ids=["default", "n_max-0", "n_max-1", "single-l", "literal"])
+    @pytest.mark.parametrize("rows", [verify.LEMMAS, verify.THEOREMS], ids=["lemmas", "theorems"])
+    def test_same_cells(self, spec, rows):
+        report = verify._sweep(spec, rows)
+        assert report.cells == _cells_by_endpoint(spec, rows)
+        assert report.mismatches == sum(not c.match for c in report.cells)
+
+    def test_no_cell_and_no_row_count_in_the_sweep(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("built per endpoint")
+
+        monkeypatch.setattr(verify, "Cell", refuse)
+        monkeypatch.setattr(verify, "row_count", refuse, raising=False)
+        report = run_theorem_suite(SMALL)
+        report.extend(run_lemma_suite(SMALL))
+        assert report.total > 1000 and report.mismatches == 0
+
+    @pytest.mark.parametrize("m0, count", [
+        (-9, 3), (-9, 6), (-9, 12), (-3, 2), (-1, 4), (1, 3), (5, 4), (7, 2), (9, 3),
+    ])
+    @pytest.mark.parametrize("start", [0, -2, 1])
+    def test_oracle_values_are_the_row_counts(self, m0, count, start):
+        n = 6
+        row = [10 + k for k in range(n + 1)]
+        ms = range(m0, m0 + 2 * count, 2)
+        assert verify._oracle_values(row, start, n, ms) == [row_count(row, start, m) for m in ms]
 
 
 class TestSweepSpecValidation:
