@@ -12,29 +12,43 @@ on row n; a parity-impossible endpoint counts 0, but `multiplicity` raises
 in every evaluator.  A type-2 filter counts like a type-1 filter except
 to its right, so `filter2_left` and `filter2_neg` are the type-1 forms.
 
-`wall_term`, the series forms and `multiplicity` read `_row(n)`, the
-Pascal row C(n, 0..n).  A series over every 2l-th or 4l-th column is one
-strided slice of it (`_free_sum`).  Two forms evaluate a whole lane, every
-endpoint m of one domain piece on row n, at once: `_right_lane(l, n)` holds
-`wall_filter_right` for every m, and `_mj_lane(l, j, n)` holds
-`multiplicity` for every m of strip j >= 2.  These three caches keep their
-last entry only (a sweep evaluates every formula on row n before row
-n + 1, and a lane's endpoints one after another), and building a new row
-drops both lanes.  They hand out tuples shared by every caller.  Rows
-above `FORMULA_MAX_ROW` raise `DomainError` before one is built; `binom`,
-`count_free` and the one-image forms build no row and have no limit.
+`wall_term` and the strip-1 and wall-plus-two-filter series read
+`_row(n)`, the Pascal row C(n, 0..n); a series over every 2l-th or 4l-th
+column is one strided slice of it (`_free_sum`).  The other series read
+half-row running sums, shared by the public evaluators and the sweep:
+`_row_sums(l, n, sign)` holds S[x] = C(n, x) + sign*S[x - l] for
+x <= n // 2, so each `wall_filter_right` value is S+[h] - S+[h - 1] and each
+two-filter value is two lookups into S- (`_two_filter_values`), at
+h = (n - m)/2.  `multiplicity` past strip 1 reads `_mj_lane(l, j, n)`,
+every endpoint of strip j at once, from the ballot half row
+`_ballot_row(n)` (C(n, x) - C(n, x - 1), built without the Pascal row) and
+p/q coefficient lists cached by `_pq`.  The row, sum, ballot and lane
+caches keep their last entry only (a sweep evaluates every formula on row
+n before row n + 1, and a lane's endpoints one after another), and
+building a new Pascal row drops the running sums.  They hand out tuples
+shared by every caller.  Rows above `FORMULA_MAX_ROW` raise `DomainError`
+before one is built, and so do `multiplicity` strips whose p/q lists
+exceed `MJ_MAX_WORK`; `binom`, `count_free` and the one-image forms build
+no row and have no limit.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+from collections.abc import Sequence
 from itertools import accumulate
 from operator import mul, sub
 
-# Largest row `_row` builds: at 50,000 it takes 116 MiB and 0.3-0.5 s (its size grows as
-# n^2); the `_right_lane` read from it takes as much again, 231 MiB at the peak and 0.15 s more.
+# Largest row `_row` and `_ballot_row` build: at 50,000 each takes 116 MiB and 0.3-0.4 s
+# (the size grows as n^2).  A running sum read from the Pascal row takes as much again,
+# 231 MiB at the peak for desire2 or a two-filter form; mj past strip 1 reads the ballot row
+# alone (116 MiB).  A process that keeps all three holds 347 MiB.
 FORMULA_MAX_ROW = 50_000
+# Largest j*K `multiplicity` takes on in strip j >= 2, K = (n - (j - 1)l + 1)//4l + 1: the
+# p/q lists are about j*K big-int additions, and the strip's dot products grow with them.
+# At 50,000 rows the slowest strip accepted for l = 2..5 takes 1.0-1.6 s from a cold cache.
+MJ_MAX_WORK = 1_000_000
 
 
 class InvalidN(ValueError):
@@ -67,14 +81,17 @@ def count_free(m: int, n: int) -> int:
     return binom(n, (n - m) // 2)
 
 
-@functools.lru_cache(maxsize=1)
-def _row(n: int) -> tuple[int, ...]:
-    """C(n, 0..n), shared by every caller on row n; never mutate it."""
+def _check_row(n: int) -> None:
     _require(n, 0, "row")
     if n > FORMULA_MAX_ROW:
         raise DomainError(f"row must be <= FORMULA_MAX_ROW = {FORMULA_MAX_ROW}, got {n}")
-    _right_lane.cache_clear()  # no lane of the last row outlives it
-    _mj_lane.cache_clear()
+
+
+@functools.lru_cache(maxsize=1)
+def _row(n: int) -> tuple[int, ...]:
+    """C(n, 0..n), shared by every caller on row n; never mutate it."""
+    _check_row(n)
+    _row_sums.cache_clear()  # no running sum of the last row outlives it
     half = [1]
     for k in range(n // 2):
         half.append(half[-1] * (n - k) // (k + 1))
@@ -180,28 +197,42 @@ def _strip1_series(l: int, m: int, n: int) -> int:
 
 
 @functools.lru_cache(maxsize=1)
-def _right_lane(l: int, n: int) -> tuple[int, ...]:
-    """`_right_series(l, n - 2h, n)` for 0 <= h <= (n - l + 1)/2, one tuple per (l, n).
+def _row_sums(l: int, n: int, sign: int) -> tuple[int, ...]:
+    """S[x] = C(n, x) + sign*S[x - l] for 0 <= x <= n // 2, one tuple per (l, n, sign).
 
-    The series is V[h] = sum of r(h - k*l) over 0 <= k <= k1, where
-    r(h) = row[h] - row[h - 1] is `wall_term(n - 2h, n)` and
-    k1 = max(0, (n - l + 1) // 2l); so V[h] = V[h - l] + r(h) - r(h - l(k1 + 1)).
-    Here l(k1 + 1) > (n - l + 1)/2 >= h, so the window's trailing term is
-    always r(< 0) = 0 and the lane is V[h] = V[h - l] + r(h), built in place.
-    Cached for the last (l, n) only, like `_row`.
+    S[x] is the sum of sign**k * C(n, x - k*l) over x - k*l >= 0: a whole
+    series of row cells l apart, down to the row's edge, is one lookup.
+    Cached for the last (l, n, sign) only, like `_row`.
     """
-    row = _row(n)
-    last = (n - l + 1) // 2
-    lane = [row[0], *map(sub, row[1:last + 1], row)] if last >= 0 else []  # r(0..last)
-    for h in range(l, len(lane)):
-        lane[h] += lane[h - l]
-    return tuple(lane)
+    sums = list(_row(n)[:n // 2 + 1])
+    if sign > 0:  # two loops: a product by sign would copy each big int once more
+        for x in range(l, len(sums)):
+            sums[x] += sums[x - l]
+    else:
+        for x in range(l, len(sums)):
+            sums[x] -= sums[x - l]
+    return tuple(sums)
+
+
+def _right_values(l: int, ms: Sequence[int], n: int) -> list[int]:
+    """`wall_filter_right(l, m, n)` for every m in ms: ascending, step 2, n - m even,
+    l - 1 <= m <= n.
+
+    The series is V[h] = sum of r(h - k*l) over 0 <= k <= max(0, (n - l + 1) // 2l),
+    h = (n - m)/2, where r(h) = C(n, h) - C(n, h - 1) is `wall_term(n - 2h, n)`.
+    Every k with h - k*l >= 0 is in that range, so V[h] = S+[h] - S+[h - 1]
+    with S+ = `_row_sums(l, n, 1)`.
+    """
+    sums = _row_sums(l, n, 1)
+    top, bottom = (n - ms[0]) // 2, (n - ms[-1]) // 2
+    below = sums[bottom - 1:top] if bottom else (0, *sums[:top])
+    return list(map(sub, sums[bottom:top + 1], below))[::-1]
 
 
 def _right_series(l: int, m: int, n: int) -> int:
     """The right-of-filter reflection series at an endpoint m >= l - 1."""
-    lane = _right_lane(l, n)
-    return 0 if (n - m) % 2 or m > n else lane[(n - m) // 2]
+    _row_sums(l, n, 1)  # refuses a row out of range before the parity test
+    return 0 if (n - m) % 2 or m > n else _right_values(l, (m,), n)[0]
 
 
 def wall_filter_strip1(l: int, m: int, n: int) -> int:
@@ -226,6 +257,22 @@ def _check_strip2(l: int, m: int) -> None:
         raise DomainError(f"endpoint {m} outside [{l - 1}, {2 * l - 1}) for l={l}")
 
 
+def _two_filter_values(i: int, s: int, l: int, ms: Sequence[int], n: int) -> list[int]:
+    """`_two_filter_series(i, s, l, m, n)` for every m in ms, each in strip 2 with n - m even.
+
+    The series has two alternating runs of row cells l apart, from C(n, h - il - s/2)
+    downwards and from C(n, h + (i + 2)l - 1 + s/2) upwards, h = (n - m)/2.
+    For m in strip 2 each run stops just where it leaves the row, so it is
+    a whole alternating tail: one lookup into A = `_row_sums(l, n, -1)`.
+    The upward run, mirrored by C(n, x) = C(n, n - x), reads A at
+    n - h - (i + 2)l + 1 - s/2.  Both indices are <= n // 2; below 0 reads 0.
+    """
+    sums = _row_sums(l, n, -1)
+    down, up = i * l + s // 2, n + 1 - (i + 2) * l - s // 2
+    return [(sums[h - down] if h >= down else 0) - (sums[up - h] if up >= h else 0)
+            for h in ((n - m) // 2 for m in ms)]
+
+
 def _two_filter_series(i: int, s: int, l: int, m: int, n: int) -> int:
     """Filters at l-1 (type 1) and 2l-1 (type 2), start (-2*i*l - s, 0), s in {0, 2}.
 
@@ -233,8 +280,8 @@ def _two_filter_series(i: int, s: int, l: int, m: int, n: int) -> int:
     its reflected images land two columns further right (column m + 2kl + 2).
     """
     _check_strip2(l, m)
-    return (_free_sum(m + s, n, 2 * l, i, (n - l + 1 - s) // (2 * l), -1)
-            - _free_sum(m - 4 * l + 2 - s, n, -2 * l, i, (n - s) // (2 * l) - 1, -1))
+    _row_sums(l, n, -1)  # refuses a row out of range before the parity test
+    return 0 if (n - m) % 2 else _two_filter_values(i, s, l, (m,), n)[0]
 
 
 def two_filters(l: int, m: int, n: int) -> int:
@@ -332,36 +379,57 @@ def _pq_series(j: int, odd: int, size: int) -> list[int]:
     return cs
 
 
+@functools.lru_cache(maxsize=64)
+def _pq(j: int, odd: int, size: int) -> tuple[int, ...]:
+    """`_pq_series(j, odd, size)` as a shared tuple: the lists do not depend
+    on n, so a sweep takes each strip's pair once per size, not once per row."""
+    return tuple(_pq_series(j, odd, size))
+
+
+@functools.lru_cache(maxsize=1)
+def _ballot_row(n: int) -> tuple[int, ...]:
+    """r[x] = C(n, x) - C(n, x - 1), which is `wall_term(n - 2x, n)`, for 0 <= x <= n//2 + 1.
+
+    Built by its own multiplicative recurrence, so `multiplicity` past
+    strip 1 never builds the Pascal row.  Cached for the last n only.
+    """
+    _check_row(n)
+    ballot, c, prev = [], 1, 0
+    for x in range(n // 2 + 2):
+        ballot.append(c - prev)
+        c, prev = c * (n - x) // (x + 1), c
+    return tuple(ballot)
+
+
 @functools.lru_cache(maxsize=1)
 def _mj_lane(l: int, j: int, n: int) -> tuple[int, ...]:
     """`multiplicity(l, m, n)` for the columns m <= n of strip j >= 2 with m + n even.
 
     Entry i is column (j - 1)l - 1 + (n - (j - 1)l + 1) % 2 + 2i.  Each of the
-    four image families, sum over k of c_k * wall_term(column_k, n), reads
-    row cells 2l apart from a start a(m): it is one dot product of its
-    coefficients with row[a::±2l], minus the same dot product one cell
-    over, row[a - 1::±2l].  The coefficient lists are taken once per
-    (l, j, n), with the k ranges of the images that can reach row n, from
-    `_pq_series`: about j*n/4l big-int additions, where `_poly` term by term
-    costs j/2 products per coefficient.  Cached for the last (l, j, n)
-    only, like `_row`.
+    four image families, sum over k of c_k * wall_term(column_k, n), is a
+    dot product of its coefficients with ballot cells r = `_ballot_row(n)`
+    2l apart.  The images right of m read r downwards from h = (n - m)/2;
+    those left of it read r upwards, which by r[n + 1 - x] = -r[x] is
+    reading downwards from a mirrored index.  With
+    D(c, a) = sum of c_k * r[a - 2lk] over a - 2lk >= 0, the strip's sum is
+    D(p, h) - D(p, n + 1 - h - jl) - D(q, h - l) + D(q, n + 1 - h - (j + 1)l);
+    every index is <= n // 2.  The coefficient lists come from `_pq`: the
+    k ranges of the images that can reach row n, about j*n/4l big-int
+    additions once per size.  Cached for the last (l, j, n) only.
     """
-    row = _row(n)
+    ballot = _ballot_row(n)
     e, lo = 2 * l, (j - 1) * l - 1
 
-    def images(cs, a, step):  # sum of cs[k] * (row[a + k*step] - row[a - 1 + k*step])
-        return (sum(map(mul, cs, row[a::step] if a >= 0 else ()))
-                - sum(map(mul, cs, row[a - 1::step] if a >= 1 else ())))
+    def dot(cs, a):  # D(cs, a)
+        return sum(map(mul, cs, ballot[a::-e])) if a >= 0 else 0
 
-    p = _pq_series(j, 0, (n - (j - 1) * l + 1) // (4 * l) + 1)
-    q = _pq_series(j, 1, (n - (j + 1) * l + 1) // (4 * l) + 1)
-    # n >= (j - 1)l - 1 for any column of the strip, so both prefix lengths are >= 0
-    p_left, q_left = p[:(n - j * l) // (4 * l) + 1], q[:(n - (j + 2) * l) // (4 * l) + 1]
+    p = _pq(j, 0, (n - (j - 1) * l + 1) // (4 * l) + 1)
+    q = _pq(j, 1, (n - (j + 1) * l + 1) // (4 * l) + 1)
     lane = []
     for m in range(lo + (n - lo) % 2, min(j * l - 2, n) + 1, 2):
-        h = (n - m) // 2  # images right of m read the row downwards from h, left ones upwards
-        total = (images(p, h, -e) + images(p_left, h + j * l, e)
-                 - images(q, h - l, -e) - images(q_left, h + (j + 1) * l, e))
+        h = (n - m) // 2
+        mirror = n + 1 - h - j * l
+        total = dot(p, h) - dot(p, mirror) - dot(q, h - l) + dot(q, mirror - l)
         lane.append(2 ** (j - 2) * total)
     return tuple(lane)
 
@@ -372,7 +440,9 @@ def multiplicity(l: int, m: int, n: int) -> int:
     The arrangement is the wall at 0, the type-1 filter at l-1 and type-2
     filters at nl-1 for n >= 2.  Dispatches on the strip index: strip 1
     reduces to `wall_filter_strip1`; strips j >= 2 use the p/q families
-    with prefactor 2^(j-2).
+    with prefactor 2^(j-2).  A strip whose p/q lists take more than
+    `MJ_MAX_WORK` big-int additions, j*K with K = (n - (j - 1)l + 1)//4l + 1,
+    is refused before anything is built.
     """
     j = strip_index(l, m)
     if (m + n) % 2:
@@ -381,4 +451,9 @@ def multiplicity(l: int, m: int, n: int) -> int:
         raise DomainError(f"column {m} unreachable by row {n}")
     if j == 1:
         return wall_filter_strip1(l, m, n)
+    _check_row(n)
+    work = j * ((n - (j - 1) * l + 1) // (4 * l) + 1)
+    if work > MJ_MAX_WORK:
+        raise DomainError(f"strip {j} on row {n} needs j*K = {work} big-int additions, "
+                          f"above MJ_MAX_WORK = {MJ_MAX_WORK}")
     return _mj_lane(l, j, n)[(m - (j - 1) * l + 1) // 2]

@@ -216,12 +216,6 @@ _PAIR = lambda s, l: _rs((F1, l - 1), (F2, 2 * l - 1))
 _STRIP2 = lambda s, l, n: (l - 1, min(2 * l - 2, n))
 
 
-def _right_values(f, l: int, ms: range, n: int) -> list[int]:
-    """desire2 at every m in ms: entries h = (n - m)/2 of `_right_lane(l, n)`, in m order."""
-    h0 = (n - ms[0]) // 2
-    return list(f._right_lane(l, n)[h0 - len(ms) + 1:h0 + 1][::-1])
-
-
 def _mj_values(f, l: int, ms: range, n: int) -> list[int]:
     """mj at every m in ms, which runs from column 0 or 1 to the end of a strip or to n.
 
@@ -259,14 +253,18 @@ THEOREMS = (
     Formula("desire1", "l", _WALL_FILTER, lambda s, l, n: (0, min(l - 2, n)),
             lambda f, l, m, n: f.wall_filter_strip1(l, m, n)),
     Formula("desire2", "l", _WALL_FILTER, lambda s, l, n: (l - 1, n),
-            lambda f, l, m, n: f.wall_filter_right(l, m, n), lane=_right_values),
-    Formula("th3", "l", _PAIR, _STRIP2, lambda f, l, m, n: f.two_filters(l, m, n)),
+            lambda f, l, m, n: f.wall_filter_right(l, m, n),
+            lane=lambda f, l, ms, n: f._right_values(l, ms, n)),
+    Formula("th3", "l", _PAIR, _STRIP2, lambda f, l, m, n: f.two_filters(l, m, n),
+            lane=lambda f, l, ms, n: f._two_filter_values(0, 0, l, ms, n)),
     Formula("th32", "l", _PAIR, _STRIP2,
             lambda f, a, l, m, n: f.two_filters_from_even(a, l, m, n),
-            index="a", start=lambda l, a: -2 * a * l),
+            index="a", start=lambda l, a: -2 * a * l,
+            lane=lambda f, a, l, ms, n: f._two_filter_values(a, 0, l, ms, n)),
     Formula("th33", "l", _PAIR, _STRIP2,
             lambda f, b, l, m, n: f.two_filters_from_odd(b, l, m, n),
-            index="b", start=lambda l, b: -2 * b * l - 2),
+            index="b", start=lambda l, b: -2 * b * l - 2,
+            lane=lambda f, b, l, ms, n: f._two_filter_values(b, 2, l, ms, n)),
     Formula("th4", "l", lambda s, l: _rs((W, 0), (F1, l - 1), (F2, 2 * l - 1)), _STRIP2,
             lambda f, l, m, n: f.wall_two_filters(l, m, n)),
     Formula("mj", "l", lambda s, l: canonical_arrangement(l, s.n_max).restrictions,

@@ -241,7 +241,8 @@ def test_rows_above_the_limit_are_refused_before_building(name):
 
 def _cold_peak(fn, *args):
     """fn(*args) and the peak bytes it allocates, with every row cache empty."""
-    for cache in (formulas._row, formulas._right_lane, formulas._mj_lane):
+    for cache in (formulas._row, formulas._row_sums, formulas._ballot_row, formulas._pq,
+                  formulas._mj_lane):
         cache.cache_clear()
     tracemalloc.start()
     try:
@@ -334,6 +335,23 @@ class TestMultiplicity:
         value = multiplicity(2, 999, 4999)  # strip 501
         assert time.perf_counter() - t0 < 0.5
         assert value > 0
+
+    def test_work_budget(self):
+        """Strip 1000 on row 10001 (l = 2) is the first over the budget: j*K = 1000 * 1001."""
+        assert 999 * 1001 <= formulas.MJ_MAX_WORK < 1000 * 1001
+        for cache in (formulas._ballot_row, formulas._pq, formulas._mj_lane):
+            cache.cache_clear()
+        tracemalloc.start()
+        try:
+            with pytest.raises(DomainError, match="MJ_MAX_WORK"):
+                multiplicity(2, 1997, 10001)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+        assert formulas._ballot_row.cache_info().currsize == 0
+        value = multiplicity(2, 1995, 10001)  # strip 999 runs
+        assert value > 0 and value % 2 ** 997 == 0
 
     @pytest.mark.parametrize("l, m, n", [(2, 201, 2001), (3, 400, 2000), (5, 600, 2500)])
     def test_far_strips_match_the_dp(self, l, m, n):
@@ -496,7 +514,8 @@ def _reference_module():
                _ref__two_filter_series, _ref_wall_two_filters, _ref__poly, _ref_multiplicity):
         name = fn.__name__.removeprefix("_ref_")
         setattr(ref, name, types.FunctionType(fn.__code__, vars(ref), name, fn.__defaults__))
-    ref._right_lane = ref._mj_lane = _no_lane  # the slow path must not read a lane
+    # the slow path must not read a running sum, a ballot row or a lane
+    ref._row_sums = ref._ballot_row = ref._mj_lane = _no_lane
     return ref
 
 
@@ -586,14 +605,18 @@ def test_matches_slow_path_at_large_rows(name, small, m):
 
 
 # One call: which lane reader, indices into the example's l and n pools, m, a
-# strip, and whether m is moved onto n's parity.
-LANE_CALL = st.tuples(st.sampled_from(("wall_filter_right", "multiplicity")),
+# strip (for the two-filter forms, the start index), and whether m is moved
+# onto n's parity.
+TWO_FILTERS = ("two_filters", "two_filters_from_even", "two_filters_from_odd")
+LANE_CALL = st.tuples(st.sampled_from(("wall_filter_right", "multiplicity", *TWO_FILTERS)),
                       st.integers(0, 2), st.integers(0, 2), st.integers(-3, 420),
                       st.integers(0, 9), st.booleans())
 LARGE_ROWS = [("wall_filter_right", 0, 0, 2, 0, True), ("multiplicity", 1, 0, 0, 2, True),
               ("wall_filter_right", 1, 0, 2, 0, True), ("multiplicity", 0, 1, 1, 2, True),
               ("wall_filter_right", 0, 1, 300, 0, True), ("multiplicity", 0, 0, 1, 3, True),
-              ("wall_filter_right", 0, 0, 1999, 0, False), ("multiplicity", 1, 1, 2, 3, True)]
+              ("wall_filter_right", 0, 0, 1999, 0, False), ("multiplicity", 1, 1, 2, 3, True),
+              ("two_filters", 0, 0, 1, 0, True), ("two_filters_from_odd", 1, 1, 2, 4, True),
+              ("two_filters_from_even", 0, 1, 0, 1, True), ("two_filters", 1, 1, 2, 0, True)]
 
 
 @given(st.lists(st.integers(1, 7), min_size=2, max_size=3),
@@ -607,8 +630,11 @@ def test_lanes_match_the_slow_path_in_any_call_order(ls, ns, calls):
         l, n = ls[li % len(ls)], ns[ni % len(ns)]
         if name == "multiplicity":  # m in the strip, or one past it: two l share strips
             m = (strip - 1) * l - 1 + m % (l + 1)
+        elif name in TWO_FILTERS:  # m in strip 2
+            m = l - 1 + m % l
         m += on_parity * ((n - m) % 2)
-        assert _differences(name, [(l, m, n)]) == []
+        start = (strip,) if name in TWO_FILTERS[1:] else ()
+        assert _differences(name, [(*start, l, m, n)]) == []
 
 
 @given(st.integers(-30, 30), st.integers(0, 40), st.integers(-6, 6).filter(bool),
@@ -620,9 +646,32 @@ def test_free_sum_is_the_termwise_sum(m, n, half_d, k0, k1, sign):
     assert formulas._free_sum(m, n, d, k0, k1, sign) == expected
 
 
+@given(st.integers(1, 9), st.integers(0, 60), st.sampled_from((1, -1)))
+@example(5, 0, 1)
+@example(3, 1, -1)
+@example(8, 9, -1)  # l > n // 2: the sums are the row itself
+@settings(max_examples=200)
+def test_row_sums_are_the_termwise_sums(l, n, sign):
+    want = [sum(sign ** k * binom(n, x - k * l) for k in range(x // l + 1))
+            for x in range(n // 2 + 1)]
+    assert formulas._row_sums(l, n, sign) == tuple(want)
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 7, 40, 41, 2001])
+def test_ballot_row_is_wall_term(n):
+    assert formulas._ballot_row(n) == tuple(wall_term(n - 2 * x, n) for x in range(n // 2 + 2))
+
+
 def test_row_cache_keeps_one_row():
     wall_filter_right(2, 2, 2000)
     assert wall_term(1, 3) == 2
     info = formulas._row.cache_info()
     assert (info.maxsize, info.currsize) == (1, 1)
     assert formulas._row(3) == (1, 3, 3, 1)
+
+
+def test_new_row_drops_the_running_sums():
+    two_filters(3, 3, 2001)
+    assert formulas._row_sums.cache_info().currsize == 1
+    wall_term(1, 3)  # builds row 3: no running sum of row 2001 outlives it
+    assert formulas._row_sums.cache_info().currsize == 0

@@ -1,5 +1,6 @@
 """Sweep harness: clean runs, the literal-mode negative control, reports."""
 
+import dataclasses
 import functools
 import hashlib
 import json
@@ -409,8 +410,9 @@ class TestFormulaTable:
         assert hashlib.sha256(report.to_json().encode()).hexdigest() == digest
 
     def test_each_lane_built_once(self, monkeypatch):
-        """The sweep builds each desire2 lane (l, n) and mj lane (l, j, n) once."""
-        built = {"_right_lane": [], "_mj_lane": []}
+        """The sweep builds each running sum (l, n, sign), ballot row n and mj
+        lane (l, j, n) once, and the rows with a lane make no `value` call."""
+        built = {"_row_sums": [], "_ballot_row": [], "_mj_lane": []}
 
         def counting(name):
             build = getattr(formulas, name).__wrapped__
@@ -420,14 +422,24 @@ class TestFormulaTable:
                 return build(*key)
             return functools.lru_cache(maxsize=1)(spy)
 
+        def no_value(*args):
+            raise AssertionError(f"a lane row made a value call {args}")
+
         for name in built:
             monkeypatch.setattr(formulas, name, counting(name))
+        laned = [row.id for row in verify.THEOREMS if row.lane]
+        assert {"desire2", "th3", "th32", "th33", "mj"} <= set(laned)
+        monkeypatch.setattr(verify, "THEOREMS", tuple(
+            dataclasses.replace(row, value=no_value) if row.lane else row
+            for row in verify.THEOREMS))
         cells = run_theorem_suite(SweepSpec()).cells
         at = [(c.formula_id, dict(c.parameters)) for c in cells]
-        right = {(p["l"], p["n"]) for fid, p in at if fid == "desire2"}
+        sums = {(p["l"], p["n"], 1 if fid == "desire2" else -1)
+                for fid, p in at if fid in ("desire2", "th3", "th32", "th33")}
         strips = {(p["l"], formulas.strip_index(p["l"], p["m"]), p["n"])
                   for fid, p in at if fid == "mj"}
-        assert sorted(built["_right_lane"]) == sorted(right)
+        assert sorted(built["_row_sums"]) == sorted(sums)
+        assert sorted(built["_ballot_row"]) == sorted({(n,) for l, j, n in strips if j >= 2})
         assert sorted(built["_mj_lane"]) == sorted(s for s in strips if s[1] >= 2)
 
     def test_theorem_sweep_cells_golden(self):
