@@ -14,12 +14,20 @@ import argparse
 import functools
 import json
 import sys
+from typing import TextIO
 
 from . import __version__, formulas
 from .formulas import DomainError
 from .model import WeightRule, format_arrangement, parse_arrangement
 from .oracle import KERNEL_BACKEND, PathQuery, dp_count, enumerate_paths
-from .verify import FORMULAS, SweepSpec, run_lemma_suite, run_property_suite, run_theorem_suite
+from .verify import (
+    FORMULAS,
+    CompareReport,
+    SweepSpec,
+    run_lemma_suite,
+    run_property_suite,
+    run_theorem_suite,
+)
 
 USAGE_ERROR = 2
 
@@ -143,23 +151,28 @@ def cmd_compare(args: argparse.Namespace) -> int:
     report = runs[suites[0]]()
     for suite in suites[1:]:
         report.extend(runs[suite]())
-    if args.format == "json":
-        text = report.to_json() + "\n"
-    elif args.format == "csv":
-        text = report.to_csv()
-    else:
-        text = report.render()
     mismatches = report.mismatches
     if args.out:
         try:
             with open(args.out, "w") as fh:
-                fh.write(text)
+                _write_report(report, args.format, fh)
         except OSError as exc:
             return _fail(f"cannot write report: {exc}")
         print(f"cells {report.total}  mismatches {mismatches}  -> {args.out}")
     else:
-        sys.stdout.write(text)
+        _write_report(report, args.format, sys.stdout)
     return 0 if mismatches == 0 else 1
+
+
+def _write_report(report: CompareReport, fmt: str, out: TextIO) -> None:
+    """Write the report to out in the format fmt; JSON and CSV go a lane at a time."""
+    if fmt == "json":
+        report.write_json(out)
+        out.write("\n")
+    elif fmt == "csv":
+        report.write_csv(out)
+    else:
+        out.write(report.render())
 
 
 def cmd_pq(args: argparse.Namespace) -> int:

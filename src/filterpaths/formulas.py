@@ -14,10 +14,13 @@ to its right, so `filter2_left` and `filter2_neg` are the type-1 forms.
 
 `wall_term` and the strip-1 and wall-plus-two-filter series read
 `_row(n)`, the Pascal row C(n, 0..n); a series over every 2l-th or 4l-th
-column is one strided slice of it (`_free_sum`).  The other series read
-half-row running sums, shared by the public evaluators and the sweep:
-`_row_sums(l, n, sign)` holds S[x] = C(n, x) + sign*S[x - l] for
-x <= n // 2, so each `wall_filter_right` value is S+[h] - S+[h - 1] and each
+column is one strided slice of it (`_free_sum`).  The sweep reads every
+lemma a lane at a time from it too: `_image_values` gives the free count
+and its one signed image at consecutive endpoints as reversed slices of
+the row, while the public lemma evaluators keep `math.comb`.  The other
+series read half-row running sums, shared by the public evaluators and
+the sweep: `_row_sums(l, n, sign)` holds S[x] = C(n, x) + sign*S[x - l]
+for x <= n // 2, so each `wall_filter_right` value is S+[h] - S+[h - 1] and each
 two-filter value is two lookups into S- (`_two_filter_values`), at
 h = (n - m)/2.  `multiplicity` past strip 1 reads `_mj_lane(l, j, n)`,
 every endpoint of strip j at once, from the ballot half row
@@ -38,7 +41,7 @@ import functools
 import math
 from collections.abc import Sequence
 from itertools import accumulate
-from operator import mul, sub
+from operator import add, mul, sub
 
 # Largest row `_row` and `_ballot_row` build: at 50,000 each takes 116 MiB and 0.3-0.4 s
 # (the size grows as n^2).  A running sum read from the Pascal row takes as much again,
@@ -129,6 +132,28 @@ def wall_term(m: int, n: int) -> int:
 def _one_image(m: int, n: int, shift: int, sign: int = -1) -> int:
     """Free count plus one signed image: C(n, (n-m)/2) + sign*C(n, (n-m)/2 + shift)."""
     return count_free(m, n) + sign * count_free(m - 2 * shift, n)
+
+
+def _image_values(ms: Sequence[int], n: int, shift: int = 0, sign: int = 0) -> list[int]:
+    """`_one_image(m, n, shift, sign)` for every m in ms: ascending, step 2, n - m even.
+
+    Sign 0 gives `count_free(m, n)` alone.  At h = (n - m)/2 the value is
+    C(n, h) + sign*C(n, h + shift), an index outside 0..n reading 0; h falls
+    by one per endpoint, so each term is one zero-padded, reversed slice of
+    `_row(n)`.
+    """
+    row, size = _row(n), len(ms)
+
+    def term(top):  # C(n, top - i) for 0 <= i < size
+        lo, hi = max(top - size + 1, 0), min(top, n)
+        if lo > hi:
+            return [0] * size
+        return [0] * (top - hi) + list(reversed(row[lo:hi + 1])) + [0] * (lo + size - 1 - top)
+
+    top = (n - ms[0]) // 2
+    if not sign:
+        return term(top)
+    return list(map(add if sign > 0 else sub, term(top), term(top + shift)))
 
 
 def wall_left(a: int, m: int, n: int) -> int:

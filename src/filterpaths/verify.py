@@ -4,8 +4,12 @@ Sweeps parameter grids, evaluates every closed form against the DP
 oracle, and assembles a deterministic machine-readable report.  The
 report is stored a lane at a time: a `Lane` is one formula with fixed
 parameters on one row n, its endpoints m0, m0 + 2, ... and two lists of
-values, the closed form's and the oracle's.  `CompareReport.cells` spells
-the lanes out as one `Cell` per endpoint, on demand.  The report's
+values, the closed form's and the oracle's.  Every lemma, and every
+theorem but desire1, th4 and mj's strip 1, computes its closed-form
+values a lane at a time (`Formula.lane`).  `CompareReport.cells` spells
+the lanes out as one `Cell` per endpoint, on demand, and
+`CompareReport.write_json` / `write_csv` write the report to a stream a
+lane at a time, so no whole document is held in memory.  The report's
 integer fields serialize as decimal strings so arbitrarily large counts
 survive any consumer.
 """
@@ -13,12 +17,13 @@ survive any consumer.
 from __future__ import annotations
 
 import functools
+import io
 import json
 import random
 from dataclasses import dataclass, field
 from itertools import count, groupby
 from operator import attrgetter, ne
-from typing import Callable, Iterable, NamedTuple
+from typing import Callable, Iterable, NamedTuple, TextIO
 
 from . import formulas
 from .model import (
@@ -91,9 +96,11 @@ class Lane(NamedTuple):
 class CompareReport:
     """A report's cells, stored as `Lane`s in report order.
 
-    `total`, `mismatches`, `mismatch_cells` and the three texts (`render`,
-    `to_csv`, `to_json`) read the lanes; only `cells` and
+    `total`, `mismatches`, `mismatch_cells`, `render` and the two writers
+    (`write_json`, `write_csv`) read the lanes; only `cells` and
     `mismatch_cells` build `Cell`s, the latter for mismatching endpoints.
+    The writers make one `write` per lane; `to_json` and `to_csv` return
+    what they write, as one string.
     """
 
     lanes: list[Lane] = field(default_factory=list)
@@ -133,37 +140,54 @@ class CompareReport:
         self.lanes.extend(other.lanes)
 
     def to_json(self) -> str:
-        """`json.dumps(d, indent=2)` of the report's dict d, written a lane at a time.
+        """The text `write_json` writes."""
+        out = io.StringIO()
+        self.write_json(out)
+        return out.getvalue()
+
+    def write_json(self, out: TextIO) -> None:
+        """Write `json.dumps(d, indent=2)` of the report's dict d to out, a lane at a time.
 
         d is {"cells": [...], "summary": {"total": ..., "mismatches": ...}},
         one entry per cell: its formula_id, its parameters as an object,
         formula_value and oracle_value as decimal strings, and match.  A
         lane's text before m (the id and fixed parameters) and between m
         and the formula value (its n) is made once; then each endpoint is
-        one f-string.  Strings (ids, parameter names) go through
-        `json.dumps`, each distinct one once, so their escaping is the
-        encoder's; the rest are ints.
+        one f-string, and the lane's cells are one `out.write`.  Strings
+        (ids, parameter names) go through `json.dumps`, each distinct one
+        once, so their escaping is the encoder's; the rest are ints.
         """
         q = functools.cache(json.dumps)
-        cells = []
+        write, sep = out.write, "\n"
+        write('{\n  "cells": [')
         for fid, fixed, n, m0, fvs, ovs in self.lanes:
+            if not fvs:
+                continue
             params = "".join(f"{q(k)}: {v},\n        " for k, v in fixed)
             head = f'    {{\n      "formula_id": {q(fid)},\n      "parameters": {{\n        {params}"m": '
             mid = f',\n        "n": {n}\n      }},\n      "formula_value": "'
-            cells += [f'{head}{m}{mid}{fv}",\n      "oracle_value": "{ov}",\n'
-                      f'      "match": {"true" if fv == ov else "false"}\n    }}'
-                      for m, fv, ov in zip(count(m0, 2), fvs, ovs)]
-        cells = "[\n" + ",\n".join(cells) + "\n  ]" if cells else "[]"
-        return (f'{{\n  "cells": {cells},\n  "summary": {{\n    "total": {self.total},\n'
-                f'    "mismatches": {self.mismatches}\n  }}\n}}')
+            write(sep + ",\n".join([
+                f'{head}{m}{mid}{fv}",\n      "oracle_value": "{ov}",\n'
+                f'      "match": {"true" if fv == ov else "false"}\n    }}'
+                for m, fv, ov in zip(count(m0, 2), fvs, ovs)]))
+            sep = ",\n"
+        close = "]" if sep == "\n" else "\n  ]"
+        write(f'{close},\n  "summary": {{\n    "total": {self.total},\n'
+              f'    "mismatches": {self.mismatches}\n  }}\n}}')
 
     def to_csv(self) -> str:
-        lines = ["formula_id,parameters,formula_value,oracle_value,match"]
+        """The text `write_csv` writes."""
+        out = io.StringIO()
+        self.write_csv(out)
+        return out.getvalue()
+
+    def write_csv(self, out: TextIO) -> None:
+        """Write a header line, then one line per cell, to out: one `out.write` per lane."""
+        out.write("formula_id,parameters,formula_value,oracle_value,match\n")
         for fid, fixed, n, m0, fvs, ovs in self.lanes:
             head = f"{fid}," + "".join(f"{k}={v} " for k, v in fixed) + "m="
-            lines += [f"{head}{m} n={n},{fv},{ov},{'true' if fv == ov else 'false'}"
-                      for m, fv, ov in zip(count(m0, 2), fvs, ovs)]
-        return "\n".join(lines) + "\n"
+            out.write("".join([f"{head}{m} n={n},{fv},{ov},{'true' if fv == ov else 'false'}\n"
+                               for m, fv, ov in zip(count(m0, 2), fvs, ovs)]))
 
     def render(self) -> str:
         bad = self.mismatch_cells()
@@ -194,8 +218,9 @@ class Formula:
     `value(f, *fixed, m, n)` evaluates the closed form via the module f,
     where fixed is (i, g) with the absent ones left out, the order of a
     cell's parameters.  Where given, `lane(f, *fixed, ms, n)` evaluates
-    every endpoint of the range ms at once, as a slice of a closed-form
-    lane that `value` reads too; the sweep then makes no `value` call.
+    every endpoint of the range ms at once, as slices of a cached row or
+    lane of the module (which the theorems' `value` reads too; the lemmas'
+    evaluators keep `math.comb`); the sweep then makes no `value` call.
     """
 
     id: str
@@ -214,6 +239,11 @@ _NEG = lambda s, d, n: (max(-d, -n), n)
 _WALL_FILTER = lambda s, l: _rs((W, 0), (F1, l - 1))
 _PAIR = lambda s, l: _rs((F1, l - 1), (F2, 2 * l - 1))
 _STRIP2 = lambda s, l, n: (l - 1, min(2 * l - 2, n))
+# The lemma lanes are `_one_image` forms at h = (n - m)/2: C(n, h) - C(n, h + d) left of a
+# one-way column (`wall_right` at d - 1, `filter*_left` at d), C(n, h) + C(n, h - d) right
+# of a filter at -d.
+_LEFT_IMAGE = lambda f, d, ms, n: f._image_values(ms, n, d, -1)
+_NEG_IMAGE = lambda f, d, ms, n: f._image_values(ms, n, -d, +1)
 
 
 def _mj_values(f, l: int, ms: range, n: int) -> list[int]:
@@ -230,23 +260,27 @@ def _mj_values(f, l: int, ms: range, n: int) -> list[int]:
 
 LEMMAS = (
     Formula("free", "", lambda s, g: (), lambda s, g, n: (-n, n),
-            lambda f, m, n: f.count_free(m, n)),
+            lambda f, m, n: f.count_free(m, n),
+            lane=lambda f, ms, n: f._image_values(ms, n)),
     Formula("wall_left", "d", lambda s, d: _rs((W, 1 - d)), lambda s, d, n: (1 - d, n),
-            lambda f, d, m, n: f.wall_left(1 - d, m, n)),
+            lambda f, d, m, n: f.wall_left(1 - d, m, n),
+            lane=lambda f, d, ms, n: f._image_values(ms, n, -d, -1)),
     Formula("wall_right", "d", lambda s, d: _rs((WR, d - 1)), lambda s, d, n: (-n, d - 1),
-            lambda f, d, m, n: f.wall_right(d - 1, m, n)),
+            lambda f, d, m, n: f.wall_right(d - 1, m, n), lane=_LEFT_IMAGE),
     Formula("filter1_left", "d", lambda s, d: _rs((F1, d)), _LEFT_OF,
-            lambda f, d, m, n: f.filter1_left(d, m, n)),
+            lambda f, d, m, n: f.filter1_left(d, m, n), lane=_LEFT_IMAGE),
     Formula("filter1_right", "d", lambda s, d: _rs((F1, d)), lambda s, d, n: (d, n),
-            lambda f, d, m, n: f.filter1_right(d, m, n)),
+            lambda f, d, m, n: f.filter1_right(d, m, n),
+            lane=lambda f, d, ms, n: f._image_values(ms, n)),
     Formula("filter1_neg", "d", lambda s, d: _rs((F1, -d)), _NEG,
-            lambda f, d, m, n: f.filter1_neg(d, m, n)),
+            lambda f, d, m, n: f.filter1_neg(d, m, n), lane=_NEG_IMAGE),
     Formula("filter2_left", "d", lambda s, d: _rs((F2, d)), _LEFT_OF,
-            lambda f, d, m, n: f.filter2_left(d, m, n)),
+            lambda f, d, m, n: f.filter2_left(d, m, n), lane=_LEFT_IMAGE),
     Formula("filter2_right", "d", lambda s, d: _rs((F2, d)), lambda s, d, n: (d + 1, n),
-            lambda f, d, m, n: f.filter2_right(d, m, n)),
+            lambda f, d, m, n: f.filter2_right(d, m, n),
+            lane=lambda f, d, ms, n: [2 * v for v in f._image_values(ms, n)]),
     Formula("filter2_neg", "d", lambda s, d: _rs((F2, -d)), _NEG,
-            lambda f, d, m, n: f.filter2_neg(d, m, n)),
+            lambda f, d, m, n: f.filter2_neg(d, m, n), lane=_NEG_IMAGE),
 )
 
 THEOREMS = (

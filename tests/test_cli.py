@@ -294,12 +294,52 @@ class TestCompare:
         assert doc["summary"]["mismatches"] == 0
         assert str(out_file) in out
 
+    def test_report_file_is_the_stdout_text(self, capsys, tmp_path):
+        argv = ("compare", "--l", "2,3", "--n-max", "10", "--d-max", "2", "--strips-max", "3",
+                "--a-max", "1", "--b-max", "1", "--cases", "5", "--semantics", "literal")
+        for fmt in ("json", "csv", "text"):
+            out_file = tmp_path / f"report.{fmt}"
+            code, out, _ = run_cli(capsys, *argv, "--format", fmt)
+            file_code, file_out, _ = run_cli(capsys, *argv, "--format", fmt,
+                                             "--out", str(out_file))
+            assert code == file_code == 1
+            assert out_file.read_text() == out and out.endswith("\n"), fmt
+            assert file_out.startswith("cells ") and file_out.endswith(f"  -> {out_file}\n")
+
     def test_unwritable_report_path_exits_2(self, capsys, tmp_path):
-        code, _, err = run_cli(
-            capsys, "compare", "--l", "2", "--n-max", "4", "--d-max", "1",
-            "--suite", "lemmas", "--out", str(tmp_path / "missing" / "r.json"))
-        assert code == 2
-        assert "report" in err
+        # a missing directory fails at open; /dev/full takes the open and fails
+        # at the first write that reaches it, in the middle of the report
+        paths = [tmp_path / "missing" / "r.json"]
+        if os.path.exists("/dev/full"):
+            paths.append("/dev/full")
+        for path in paths:
+            code, out, err = run_cli(
+                capsys, "compare", "--l", "2", "--n-max", "4", "--d-max", "1",
+                "--suite", "lemmas", "--out", str(path))
+            assert code == 2, path
+            assert err.startswith("error: cannot write report: "), path
+            assert "cells" not in out, path
+
+    @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs VmHWM")
+    def test_json_and_csv_reports_peak_near_the_text_report(self):
+        # the default report (8.5 MB of JSON) is written one lane at a time, so
+        # its JSON and CSV forms cost about what the summary text does.  The
+        # peak is VmHWM, this process image's own: Linux carries ru_maxrss over
+        # an exec, so a child of a larger test process would report its size.
+        code = ("import os, sys\n"
+                "from filterpaths.cli import main\n"
+                "sys.stdout = open(os.devnull, 'w')\n"
+                "main(['compare', '--format', sys.argv[1]])\n"
+                "with open('/proc/self/status') as fh:\n"
+                "    hwm = next(line for line in fh if line.startswith('VmHWM:'))\n"
+                "print(hwm.split()[1], file=sys.__stdout__)\n")
+        env = dict(os.environ, PYTHONPATH=SRC)
+        procs = {fmt: subprocess.Popen([sys.executable, "-c", code, fmt], env=env,
+                                       stdout=subprocess.PIPE)
+                 for fmt in ("text", "json", "csv")}
+        peak = {fmt: int(p.communicate(timeout=120)[0]) for fmt, p in procs.items()}
+        assert peak["json"] < 1.1 * peak["text"], peak
+        assert peak["csv"] < 1.1 * peak["text"], peak
 
     def test_deterministic_output(self, capsys):
         argv = ("compare", "--l", "2", "--n-max", "8", "--d-max", "2",

@@ -657,6 +657,21 @@ def test_row_sums_are_the_termwise_sums(l, n, sign):
     assert formulas._row_sums(l, n, sign) == tuple(want)
 
 
+@given(st.integers(0, 40), st.integers(-50, 50), st.integers(1, 30), st.integers(-50, 50),
+       st.sampled_from((0, 1, -1)))
+@example(0, 0, 1, 0, 0)  # n = 0
+@example(1, -5, 5, 0, 0)  # n = 1, endpoints left of, in and right of the cone
+@example(0, 0, 3, -2, 1)  # image index below 0
+@example(6, -4, 2, 5, -1)  # image index above n
+@example(6, 10, 3, -12, -1)  # every endpoint and image outside the cone
+@settings(max_examples=300)
+def test_image_values_are_the_one_image_forms(n, m0, size, shift, sign):
+    """`_image_values` against `count_free` (sign 0) or `_one_image` per endpoint."""
+    ms = range(m0 + (n - m0) % 2, m0 + 2 * size, 2)
+    want = [formulas._one_image(m, n, shift, sign) if sign else count_free(m, n) for m in ms]
+    assert formulas._image_values(ms, n, shift, sign) == want
+
+
 @pytest.mark.parametrize("n", [0, 1, 2, 7, 40, 41, 2001])
 def test_ballot_row_is_wall_term(n):
     assert formulas._ballot_row(n) == tuple(wall_term(n - 2 * x, n) for x in range(n // 2 + 2))

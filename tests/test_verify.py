@@ -3,6 +3,7 @@
 import dataclasses
 import functools
 import hashlib
+import io
 import json
 import random
 from itertools import groupby
@@ -86,6 +87,13 @@ def _csv_by_cell(report):
         lines.append(f"{c.formula_id},{params},{c.formula_value},{c.oracle_value},"
                      f"{str(c.match).lower()}")
     return "\n".join(lines) + "\n"
+
+
+def _written(write):
+    """What write(out) writes into a `StringIO`."""
+    out = io.StringIO()
+    write(out)
+    return out.getvalue()
 
 
 def _report(*lanes):
@@ -222,10 +230,12 @@ class TestReports:
         text = report.to_json()
         assert text == json.dumps(_as_dict(report), indent=2)
         assert ('"match": false' in text) == (report.mismatches > 0)
+        assert _written(report.write_json) == text
 
     @pytest.mark.parametrize("report", REPORTS, ids=REPORT_IDS)
     def test_to_csv_is_the_cell_by_cell_text(self, report):
         assert report.to_csv() == _csv_by_cell(report)
+        assert _written(report.write_csv) == report.to_csv()
 
     def test_csv_shape(self):
         report = run_lemma_suite(SweepSpec(l_values=(2,), n_max=4, d_max=1))
@@ -410,9 +420,10 @@ class TestFormulaTable:
         assert hashlib.sha256(report.to_json().encode()).hexdigest() == digest
 
     def test_each_lane_built_once(self, monkeypatch):
-        """The sweep builds each running sum (l, n, sign), ballot row n and mj
-        lane (l, j, n) once, and the rows with a lane make no `value` call."""
-        built = {"_row_sums": [], "_ballot_row": [], "_mj_lane": []}
+        """The sweep builds each Pascal row n, running sum (l, n, sign), ballot
+        row n and mj lane (l, j, n) once, and the rows with a lane make no
+        `value` call; every lemma row has a lane."""
+        built = {"_row": [], "_row_sums": [], "_ballot_row": [], "_mj_lane": []}
 
         def counting(name):
             build = getattr(formulas, name).__wrapped__
@@ -429,10 +440,18 @@ class TestFormulaTable:
             monkeypatch.setattr(formulas, name, counting(name))
         laned = [row.id for row in verify.THEOREMS if row.lane]
         assert {"desire2", "th3", "th32", "th33", "mj"} <= set(laned)
-        monkeypatch.setattr(verify, "THEOREMS", tuple(
-            dataclasses.replace(row, value=no_value) if row.lane else row
-            for row in verify.THEOREMS))
+        assert all(row.lane for row in verify.LEMMAS)
+        for rows in ("LEMMAS", "THEOREMS"):
+            monkeypatch.setattr(verify, rows, tuple(
+                dataclasses.replace(row, value=no_value) if row.lane else row
+                for row in getattr(verify, rows)))
+        lemmas = run_lemma_suite(SweepSpec())
+        assert lemmas.total == 32501 and lemmas.mismatches == 0
+        assert built["_row"] == [(n,) for n in range(49)]
+        assert built["_row_sums"] == built["_ballot_row"] == built["_mj_lane"] == []
+        built["_row"].clear()
         cells = run_theorem_suite(SweepSpec()).cells
+        assert built["_row"] == [(n,) for n in range(49)]
         at = [(c.formula_id, dict(c.parameters)) for c in cells]
         sums = {(p["l"], p["n"], 1 if fid == "desire2" else -1)
                 for fid, p in at if fid in ("desire2", "th3", "th32", "th33")}
